@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .corpus import MODELS, CorpusSpec, generate_corpus
+from .corpus import MODELS, CorpusSpec, generate_corpus, read_names
 from .errors import ShardbenchError
 from .layout import (
     DEFAULT_FANOUT_LIMIT,
@@ -20,13 +21,16 @@ from .layout import (
     materialize_tree,
     md5_path,
 )
-from .model import Username, normalize_username
-from .stats import (
+from .model import ALPHABET, normalize_username
+# build_histogram is the per-name oracle the scan kernel must match; it stays
+# bound here so perfbench/spans.py traces the same names in every module.
+from .stats import (  # noqa: F401
     DistributionStats,
     Histogram,
     build_histogram,
     build_mapping_histogram,
     compute_stats,
+    joint_bucket_count,
     merge_histograms,
 )
 from .strategies import (
@@ -34,7 +38,6 @@ from .strategies import (
     LetterConfig,
     MappingConfig,
     Md5Config,
-    ascii_sum_placement,
     letter_placement,
     md5_placement,
 )
@@ -47,6 +50,7 @@ EXIT_LIMIT = 5
 
 _PARALLEL_MIN_BYTES = 4 << 20
 _MAX_AUTO_WORKERS = 8
+_WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
 _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
@@ -56,18 +60,15 @@ class UsageError(Exception):
 
 # --- strategy plumbing -----------------------------------------------------
 
-def _runtime(name: str, payload) -> tuple[Callable[[Username], object], tuple[int, ...]]:
-    """Rebuild (placement_fn, level_moduli) from a picklable description."""
-    if name == "letter":
-        cfg = LetterConfig(payload)
-        return (lambda u: letter_placement(u, cfg)), cfg.level_moduli
-    if name == "ascii-sum":
-        cfg = AsciiSumConfig(tuple(payload))
-        return (lambda u: ascii_sum_placement(u, cfg)), cfg.level_moduli
-    if name == "md5":
-        cfg = Md5Config(tuple(payload))
-        return (lambda u: md5_placement(u, cfg)), cfg.level_moduli
-    raise ValueError(f"unknown strategy {name!r}")
+_CONFIGS = {"letter": LetterConfig, "ascii-sum": AsciiSumConfig, "md5": Md5Config}
+
+
+def _config(name: str, payload) -> LetterConfig | AsciiSumConfig | Md5Config:
+    """Rebuild a strategy config from its picklable payload; bad values are usage errors."""
+    try:
+        return _CONFIGS[name](payload)
+    except ValueError as exc:
+        raise UsageError(f"bad {name} config: {exc}") from None
 
 
 def _parse_moduli(text: str) -> tuple[int, ...]:
@@ -84,12 +85,14 @@ def _username_strategy(args) -> tuple[str, object, dict]:
         if getattr(args, "moduli", None):
             raise UsageError("--moduli does not apply to the letter strategy")
         levels = args.levels if args.levels is not None else 6
+        _config(name, levels)
         return name, levels, {"levels": levels}
     if name in ("ascii-sum", "md5"):
         if getattr(args, "levels", None) is not None:
             raise UsageError(f"--levels does not apply to the {name} strategy")
         default = (31, 33) if name == "ascii-sum" else (64, 64, 128)
         moduli = _parse_moduli(args.moduli) if args.moduli else default
+        _config(name, moduli)
         return name, moduli, {"moduli": list(moduli)}
     raise UsageError(f"strategy {name!r} is not keyed on usernames here")
 
@@ -106,37 +109,67 @@ def _parse_ids(text: str) -> range:
 
 # --- corpus scanning (serial and parallel) ----------------------------------
 
-def _iter_range(path: str, start: int, end: int, first_line: int, on_reject) -> Iterator[Username]:
-    """Yield names from a newline-aligned byte range of the corpus file."""
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        line_number = first_line
-        while handle.tell() < end:
-            raw = handle.readline()
-            if not raw:
-                break
-            try:
-                text = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                if on_reject is not None:
-                    on_reject(line_number, "undecodable bytes")
-                line_number += 1
-                continue
-            if text:
-                try:
-                    yield normalize_username(text)
-                except ShardbenchError as exc:
-                    if on_reject is not None:
-                        on_reject(line_number, str(exc))
-            line_number += 1
+# Kernel joint indices: each maps a valid name's lowercased bytes to the
+# row-major bucket index linear_index() gives its placement at the level, or
+# to one slot past the last bucket when the placement is too shallow (skipped).
+# The per-name placement functions stay as the reference they must match.
+
+_LETTER_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else 0 for b in range(256))
 
 
-def _scan_chunk(task) -> tuple[Histogram, list[tuple[int, str]]]:
-    path, start, end, first_line, name, payload, level = task
-    placement_fn, moduli = _runtime(name, payload)
+def _index_fn(name: str, payload, level: int) -> tuple[Callable[[bytes], int], int]:
+    """(joint index function, bucket count) for one strategy at one level."""
+    cfg = _config(name, payload)
+    buckets = joint_bucket_count(cfg.level_moduli, level)
+    per_level = tuple(enumerate(cfg.level_moduli[: level + 1]))  # (k, modulus) pairs
+    if name == "md5":
+        md5 = hashlib.md5
+
+        def index(b: bytes) -> int:
+            digest = md5(b + b"\n").digest()
+            i = 0
+            for k, m in per_level:
+                i = i * m + digest[k] % m
+            return i
+    elif name == "ascii-sum":
+        def index(b: bytes) -> int:
+            if len(b) <= level:
+                return buckets
+            total = sum(b)
+            i = 0
+            for k, m in per_level:
+                i = i * m + total % m
+                total -= b[k]
+            return i
+    else:
+        table = _LETTER_INDEX
+
+        def index(b: bytes) -> int:
+            if len(b) <= level:
+                return buckets
+            i = 0
+            for c in b[: level + 1]:
+                i = i * 37 + table[c]
+            return i
+    return index, buckets
+
+
+def _scan_chunk(task) -> tuple[list[Histogram], list[tuple[int, str]]]:
+    """One pass over a byte range: a histogram per (name, payload, level) pair."""
+    path, start, end, first_line, pairs = task
+    jobs = []
+    for name, payload, level in pairs:
+        index, buckets = _index_fn(name, payload, level)
+        jobs.append((index, [0] * (buckets + 1)))  # the last slot counts skipped names
     rejects: list[tuple[int, str]] = []
-    names = _iter_range(path, start, end, first_line, lambda n, r: rejects.append((n, r)))
-    return build_histogram(names, placement_fn, moduli, level), rejects
+    for b in read_names(path, lambda n, r: rejects.append((n, r)), start, end, first_line):
+        for index, counts in jobs:
+            counts[index(b)] += 1
+    histograms = []
+    for _, counts in jobs:
+        skipped = counts.pop()
+        histograms.append(Histogram(counts, sum(counts), skipped))
+    return histograms, rejects
 
 
 def _plan_chunks(path: str, workers: int) -> list[tuple[int, int, int]]:
@@ -179,15 +212,52 @@ def _plan_chunks(path: str, workers: int) -> list[tuple[int, int, int]]:
 
 def _worker_count() -> int:
     raw = os.environ.get("SHARDBENCH_THREADS")
+    cpus = os.cpu_count() or 1
     if raw is not None:
         try:
             value = int(raw)
         except ValueError:
             print(f"warning: ignoring non-integer SHARDBENCH_THREADS={raw!r}", file=sys.stderr)
             value = 0
+        cap = _WORKERS_PER_CPU * cpus
+        if value > cap:
+            print(f"warning: capping SHARDBENCH_THREADS={value} at {cap} "
+                  f"({_WORKERS_PER_CPU} per CPU)", file=sys.stderr)
+            value = cap
         if value > 0:
             return value
-    return min(os.cpu_count() or 1, _MAX_AUTO_WORKERS)
+    return min(cpus, _MAX_AUTO_WORKERS)
+
+
+def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
+    """Histogram a corpus file once for every (name, payload, level) pair.
+
+    Splits the file across processes when worthwhile and merges the
+    per-chunk histograms pairwise in input order. Returns the histograms,
+    in pair order, and every rejected line as (line_number, reason).
+    """
+    workers = _worker_count()
+    explicit = os.environ.get("SHARDBENCH_THREADS") not in (None, "", "0")
+    if not explicit and os.path.getsize(path) < _PARALLEL_MIN_BYTES:
+        workers = 1
+    tasks = [(path, start, end, first_line, pairs)
+             for start, end, first_line in _plan_chunks(path, workers)]
+    if len(tasks) == 1:
+        return _scan_chunk(tasks[0])
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        results = list(pool.map(_scan_chunk, tasks))
+    histograms, rejects = results[0][0], list(results[0][1])
+    for partials, partial_rejects in results[1:]:
+        histograms = [merge_histograms(h, p) for h, p in zip(histograms, partials)]
+        rejects.extend(partial_rejects)
+    return histograms, rejects
+
+
+def _report_rejects(rejects: list[tuple[int, str]]) -> None:
+    if rejects:
+        for line_number, reason in rejects:
+            print(f"line {line_number}: {reason}", file=sys.stderr)
+        print(f"{len(rejects)} lines rejected", file=sys.stderr)
 
 
 def _scan_corpus(
@@ -197,28 +267,10 @@ def _scan_corpus(
     level: int,
     report_rejects: bool,
 ) -> Histogram:
-    """Histogram a corpus file, splitting across processes when worthwhile."""
-    workers = _worker_count()
-    explicit = os.environ.get("SHARDBENCH_THREADS") not in (None, "", "0")
-    if not explicit and os.path.getsize(path) < _PARALLEL_MIN_BYTES:
-        workers = 1
-    chunks = _plan_chunks(path, workers)
-    tasks = [(path, start, end, first_line, name, payload, level)
-             for start, end, first_line in chunks]
-    if len(tasks) == 1:
-        histogram, rejects = _scan_chunk(tasks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(_scan_chunk, tasks))
-        histogram = results[0][0]
-        rejects = list(results[0][1])
-        for partial, partial_rejects in results[1:]:
-            histogram = merge_histograms(histogram, partial)
-            rejects.extend(partial_rejects)
-    if report_rejects and rejects:
-        for line_number, reason in rejects:
-            print(f"line {line_number}: {reason}", file=sys.stderr)
-        print(f"{len(rejects)} lines rejected", file=sys.stderr)
+    """Histogram a corpus file for one strategy at one level."""
+    (histogram,), rejects = _scan(path, [(name, payload, level)])
+    if report_rejects:
+        _report_rejects(rejects)
     return histogram
 
 
@@ -314,7 +366,7 @@ def _cmd_analyze(args) -> int:
         if args.corpus is None:
             raise UsageError(f"the {args.strategy} strategy requires a corpus file")
         strategy, payload, echo = _username_strategy(args)
-        _, moduli = _runtime(strategy, payload)
+        moduli = _config(strategy, payload).level_moduli
         if not 0 <= args.level < len(moduli):
             raise UsageError(f"level {args.level} outside 0..{len(moduli) - 1}")
         histogram = _scan_corpus(args.corpus, strategy, payload, args.level, True)
@@ -335,11 +387,16 @@ def _cmd_analyze(args) -> int:
 def _parse_strategy_spec(spec: str) -> tuple[str, object, dict]:
     name, _, config = spec.partition(":")
     if name == "letter":
-        levels = int(config) if config else 6
+        try:
+            levels = int(config) if config else 6
+        except ValueError:
+            raise UsageError(f"letter spec expects an integer depth, got {config!r}") from None
+        _config(name, levels)
         return name, levels, {"levels": levels}
     if name in ("ascii-sum", "md5"):
         default = (31, 33) if name == "ascii-sum" else (64, 64, 128)
         moduli = _parse_moduli(config) if config else default
+        _config(name, moduli)
         return name, moduli, {"moduli": list(moduli)}
     if name == "mapping":
         if not config:
@@ -347,8 +404,37 @@ def _parse_strategy_spec(spec: str) -> tuple[str, object, dict]:
         parts = _parse_moduli(config)
         if len(parts) != 2:
             raise UsageError("mapping spec needs exactly bucket_size,num_servers")
+        try:
+            MappingConfig(*parts)
+        except ValueError as exc:
+            raise UsageError(f"bad mapping config: {exc}") from None
         return name, parts, {"bucket_size": parts[0], "num_servers": parts[1]}
     raise UsageError(f"unknown strategy {name!r} in spec {spec!r}")
+
+
+def _compare_steps(specs, levels: list[int], ids: str | None):
+    """compare's (level, name, payload, note) steps in report order; a note replaces a row.
+
+    A step whose row would fail raises here, so a caller that collects the
+    steps before scanning can replay everything up to the failure first.
+    """
+    for level in levels:
+        for name, payload, _ in specs:
+            note = None
+            if name == "mapping":
+                if ids is None:
+                    raise UsageError("mapping strategies in compare require --ids A..B")
+                if level != 0:
+                    note = f"skipping mapping at level {level} (only level 0 exists)"
+                else:
+                    _parse_ids(ids)
+            else:
+                moduli = _config(name, payload).level_moduli
+                if level >= len(moduli):
+                    note = f"skipping {name} at level {level} (depth {len(moduli)})"
+                else:
+                    joint_bucket_count(moduli, level)
+            yield level, name, payload, note
 
 
 def _cmd_compare(args) -> int:
@@ -356,34 +442,38 @@ def _cmd_compare(args) -> int:
         raise UsageError("compare needs at least two --strategy specs")
     levels = args.level or [0]
     specs = [_parse_strategy_spec(s) for s in args.strategy]
+    steps = []
+    error = None
+    try:
+        for step in _compare_steps(specs, levels, args.ids):
+            steps.append(step)
+    except (UsageError, ShardbenchError) as exc:
+        error = exc
+    scans = [(name, payload, level) for level, name, payload, note in steps
+             if note is None and name != "mapping"]
+    scanned = None
     rows = []
-    first_scan = True
-    for level in levels:
-        for name, payload, echo in specs:
-            if name == "mapping":
-                if args.ids is None:
-                    raise UsageError("mapping strategies in compare require --ids A..B")
-                if level != 0:
-                    print(f"note: skipping mapping at level {level} (only level 0 exists)",
-                          file=sys.stderr)
-                    continue
-                cfg = MappingConfig(*payload)
-                histogram = build_mapping_histogram(_parse_ids(args.ids), cfg)
-                label = f"mapping[{payload[0]},{payload[1]}]"
-            else:
-                _, moduli = _runtime(name, payload)
-                if level >= len(moduli):
-                    print(f"note: skipping {name} at level {level} (depth {len(moduli)})",
-                          file=sys.stderr)
-                    continue
-                histogram = _scan_corpus(args.corpus, name, payload, level, first_scan)
-                first_scan = False
-                label = name
-            if histogram.total == 0:
-                print(f"note: skipping {label} at level {level} (nothing placed)", file=sys.stderr)
-                continue
-            stats = compute_stats(histogram)
-            rows.append((level, stats.deviation_ratio, label, histogram, stats))
+    for level, name, payload, note in steps:
+        if note is not None:
+            print(f"note: {note}", file=sys.stderr)
+            continue
+        if name == "mapping":
+            histogram = build_mapping_histogram(_parse_ids(args.ids), MappingConfig(*payload))
+            label = f"mapping[{payload[0]},{payload[1]}]"
+        else:
+            if scanned is None:  # one pass over the corpus serves every scanned step
+                histograms, rejects = _scan(args.corpus, scans)
+                _report_rejects(rejects)
+                scanned = iter(histograms)
+            histogram = next(scanned)
+            label = name
+        if histogram.total == 0:
+            print(f"note: skipping {label} at level {level} (nothing placed)", file=sys.stderr)
+            continue
+        stats = compute_stats(histogram)
+        rows.append((level, stats.deviation_ratio, label, histogram, stats))
+    if error is not None:
+        raise error
     if not rows:
         print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
         return EXIT_EMPTY
@@ -429,13 +519,13 @@ def _cmd_locate(args) -> int:
         if args.moduli:
             raise UsageError("--moduli does not apply to the letter strategy")
         levels = args.levels if args.levels is not None else 6
-        placement = letter_placement(name, LetterConfig(levels))
+        placement = letter_placement(name, _config("letter", levels))
         path = letter_path(name, args.root, levels)
     elif args.strategy == "md5":
         if args.levels is not None:
             raise UsageError("--levels does not apply to the md5 strategy")
         moduli = _parse_moduli(args.moduli) if args.moduli else (64, 64, 128)
-        cfg = Md5Config(moduli)
+        cfg = _config("md5", moduli)
         placement = md5_placement(name, cfg)
         path = md5_path(name, cfg, args.root)
     else:
@@ -450,7 +540,7 @@ def _fanout_moduli(args) -> tuple[int, ...]:
     if args.strategy == "letter":
         if args.moduli:
             raise UsageError("--moduli does not apply to the letter strategy")
-        return LetterConfig(args.levels if args.levels is not None else 6).level_moduli
+        return _config("letter", args.levels if args.levels is not None else 6).level_moduli
     if args.levels is not None:
         raise UsageError("--levels does not apply to the md5 strategy")
     if args.moduli:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import bisect
 import random
+import re
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterator
@@ -104,25 +106,74 @@ def first_letter_weights() -> dict[str, float]:
     return _first_letter_weights
 
 
+# A line whose ASCII-trimmed bytes match this is a valid name as it stands:
+# only Unicode-aware trimming or a reject reason needs the slow path.
+_PLAIN_NAME = re.compile(rb"[0-9A-Za-z_]{1,%d}" % MAX_USERNAME_LENGTH)
+
+
+def read_names(
+    path,
+    on_reject: Callable[[int, str], None] | None = None,
+    start: int = 0,
+    end: int | None = None,
+    first_line: int = 1,
+) -> Iterator[bytes]:
+    """Yield the lowercased ASCII bytes of each valid name, in file order.
+
+    Reads lines split on b"\\n" from byte offset `start` (the start of a
+    line, numbered `first_line`) up to `end`, or to the end of the file.
+    Each line is trimmed and validated exactly as normalize_username() does;
+    undecodable and invalid lines are reported through on_reject(line_number,
+    reason) and skipped, and blank lines are skipped silently.
+    """
+    if end is None:
+        end = sys.maxsize
+    fullmatch = _PLAIN_NAME.fullmatch
+    with open(path, "rb") as handle:
+        if start:
+            handle.seek(start)
+        position = start
+        for line_number, raw in enumerate(handle, first_line):
+            if position >= end:
+                break
+            position += len(raw)
+            name = raw.strip()
+            if fullmatch(name):
+                yield name.lower()
+                continue
+            name, reason = _check_line(raw)
+            if name is not None:
+                yield name
+            elif reason is not None and on_reject is not None:
+                on_reject(line_number, reason)
+
+
+def _check_line(raw: bytes) -> tuple[bytes | None, str | None]:
+    """(name, None) for a valid line, (None, reason) for a rejected one, (None, None) if blank."""
+    try:
+        text = raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return None, "undecodable bytes"
+    if not text:
+        return None, None
+    try:
+        return normalize_username(text).encode("ascii"), None
+    except ShardbenchError as exc:
+        return None, str(exc)
+
+
 def load_corpus(
     path,
     on_reject: Callable[[int, str], None] | None = None,
 ) -> Iterator[Username]:
     """Yield the normalized name from each non-blank line, in file order.
 
-    Lines that fail validation are reported through on_reject(line_number,
-    reason) and skipped; the stream never aborts on bad input.
+    Lines split on "\\n" only. Lines that fail validation, undecodable ones
+    included, are reported through on_reject(line_number, reason) and
+    skipped; the stream never aborts on bad input.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            raw = line.strip()
-            if not raw:
-                continue
-            try:
-                yield normalize_username(raw)
-            except ShardbenchError as exc:
-                if on_reject is not None:
-                    on_reject(line_number, str(exc))
+    for name in read_names(path, on_reject):
+        yield Username(name.decode("ascii"))
 
 
 def _cumulative(weights: dict[str, float]) -> list[float]:
