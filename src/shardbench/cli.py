@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import hashlib
 import json
 import os
 import re
@@ -52,6 +52,11 @@ _PARALLEL_MIN_BYTES = 4 << 20
 _MAX_AUTO_WORKERS = 8
 _WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
 _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
+
+try:  # CPython's built-in MD5 skips OpenSSL's per-call set-up
+    from _md5 import md5 as _md5
+except ImportError:
+    from hashlib import md5 as _md5
 
 
 class UsageError(Exception):
@@ -118,24 +123,27 @@ _LETTER_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else 0 for b 
 
 
 def _index_fn(name: str, payload, level: int) -> tuple[Callable[[bytes], int], int]:
-    """(joint index function, bucket count) for one strategy at one level."""
+    """(joint index function, bucket count) for one strategy at one level.
+
+    The function takes a name as read_names() yields it, ending in b"\\n".
+    """
     cfg = _config(name, payload)
     buckets = joint_bucket_count(cfg.level_moduli, level)
     per_level = tuple(enumerate(cfg.level_moduli[: level + 1]))  # (k, modulus) pairs
     if name == "md5":
-        md5 = hashlib.md5
+        md5 = _md5
 
         def index(b: bytes) -> int:
-            digest = md5(b + b"\n").digest()
+            digest = md5(b).digest()  # md5_digest() hashes the name with its newline too
             i = 0
             for k, m in per_level:
                 i = i * m + digest[k] % m
             return i
     elif name == "ascii-sum":
         def index(b: bytes) -> int:
-            if len(b) <= level:
+            if len(b) <= level + 1:
                 return buckets
-            total = sum(b)
+            total = sum(b) - 10  # less the newline
             i = 0
             for k, m in per_level:
                 i = i * m + total % m
@@ -145,7 +153,7 @@ def _index_fn(name: str, payload, level: int) -> tuple[Callable[[bytes], int], i
         table = _LETTER_INDEX
 
         def index(b: bytes) -> int:
-            if len(b) <= level:
+            if len(b) <= level + 1:
                 return buckets
             i = 0
             for c in b[: level + 1]:
@@ -162,9 +170,10 @@ def _scan_chunk(task) -> tuple[list[Histogram], list[tuple[int, str]]]:
         index, buckets = _index_fn(name, payload, level)
         jobs.append((index, [0] * (buckets + 1)))  # the last slot counts skipped names
     rejects: list[tuple[int, str]] = []
-    for b in read_names(path, lambda n, r: rejects.append((n, r)), start, end, first_line):
+    for names in read_names(path, lambda n, r: rejects.append((n, r)), start, end, first_line):
         for index, counts in jobs:
-            counts[index(b)] += 1
+            for b in names:
+                counts[index(b)] += 1
     histograms = []
     for _, counts in jobs:
         skipped = counts.pop()
@@ -276,10 +285,36 @@ def _scan_corpus(
 
 # --- report emission --------------------------------------------------------
 
-def _open_output(path: str | None):
+@contextlib.contextmanager
+def _replacing(path: str, newline: str | None):
+    """A new text file that takes the place of `path` only once the block completes.
+
+    It is written beside `path` and removed on any failure, so `path` either
+    keeps its old content or holds the whole output. Errors in creating or
+    placing it name `path`, as open(path, "w") would.
+    """
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as out:
+            yield out
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _output(path: str | None):
+    """Where a report goes: stdout for None or "-", else a file replaced when complete."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return _replacing(path, newline="")
 
 
 def _emit_analysis(
@@ -336,7 +371,7 @@ def _cmd_gen_corpus(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     try:
-        with open(args.output, "w", encoding="utf-8") as out:
+        with _replacing(args.output, newline=None) as out:
             for name in generate_corpus(spec):
                 out.write(name)
                 out.write("\n")
@@ -374,12 +409,8 @@ def _cmd_analyze(args) -> int:
         print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
         return EXIT_EMPTY
     stats = compute_stats(histogram)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _emit_analysis(out, args.format, strategy, echo, args.level, histogram, stats, include_counts)
-    finally:
-        if close:
-            out.close()
     print(_stats_line(stats, histogram.skipped), file=sys.stderr)
     return EXIT_OK
 
@@ -478,12 +509,8 @@ def _cmd_compare(args) -> int:
         print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
         return EXIT_EMPTY
     rows.sort(key=lambda row: (row[0], row[1]))
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _emit_compare(out, args.format, rows)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

@@ -109,6 +109,11 @@ def first_letter_weights() -> dict[str, float]:
 # A line whose ASCII-trimmed bytes match this is a valid name as it stands:
 # only Unicode-aware trimming or a reject reason needs the slow path.
 _PLAIN_NAME = re.compile(rb"[0-9A-Za-z_]{1,%d}" % MAX_USERNAME_LENGTH)
+# A run of whole lines that are each a valid name with nothing to trim. The
+# `^` keeps a run from starting inside an over-long line.
+_PLAIN_RUN = re.compile(rb"^(?:[0-9A-Za-z_]{1,%d}\n)+" % MAX_USERNAME_LENGTH, re.M)
+# Bytes read per block. Larger blocks buy no speed and raise peak memory.
+_BLOCK = 16 << 10
 
 
 def read_names(
@@ -117,35 +122,68 @@ def read_names(
     start: int = 0,
     end: int | None = None,
     first_line: int = 1,
-) -> Iterator[bytes]:
-    """Yield the lowercased ASCII bytes of each valid name, in file order.
+) -> Iterator[list[bytes]]:
+    """Yield the valid names of each block of lines, in file order.
 
     Reads lines split on b"\\n" from byte offset `start` (the start of a
-    line, numbered `first_line`) up to `end`, or to the end of the file.
-    Each line is trimmed and validated exactly as normalize_username() does;
-    undecodable and invalid lines are reported through on_reject(line_number,
-    reason) and skipped, and blank lines are skipped silently.
+    line, numbered `first_line`) up to `end`, or to the end of the file, in
+    blocks of whole lines. Each line is trimmed and validated exactly as
+    normalize_username() does; undecodable and invalid lines are reported
+    through on_reject(line_number, reason) and skipped, and blank lines are
+    skipped silently. Every yielded list holds lowercased ASCII names, each
+    ending in b"\\n" whether or not its line did.
     """
-    if end is None:
-        end = sys.maxsize
-    fullmatch = _PLAIN_NAME.fullmatch
+    line_number = first_line
+    for block in _blocks(path, start, sys.maxsize if end is None else end):
+        names: list[bytes] = []
+        done = 0
+        for run in _PLAIN_RUN.finditer(block):
+            line_number = _check_lines(block[done:run.start()], line_number, names, on_reject)
+            lines = run.group()
+            names += lines.lower().splitlines(True)
+            line_number += lines.count(b"\n")
+            done = run.end()
+        line_number = _check_lines(block[done:], line_number, names, on_reject)
+        yield names
+
+
+def _blocks(path, start: int, end: int) -> Iterator[bytes]:
+    """The lines starting in [start, end), in blocks that each end with a whole line."""
     with open(path, "rb") as handle:
-        if start:
-            handle.seek(start)
+        handle.seek(start)
         position = start
-        for line_number, raw in enumerate(handle, first_line):
-            if position >= end:
+        while position < end:
+            block = handle.read(min(_BLOCK, end - position))
+            if not block:
                 break
-            position += len(raw)
-            name = raw.strip()
-            if fullmatch(name):
-                yield name.lower()
-                continue
-            name, reason = _check_line(raw)
-            if name is not None:
-                yield name
-            elif reason is not None and on_reject is not None:
-                on_reject(line_number, reason)
+            if not block.endswith(b"\n"):
+                block += handle.readline()  # finish the last line, even past `end`
+            position += len(block)
+            yield block
+
+
+def _check_lines(
+    text: bytes,
+    line_number: int,
+    names: list[bytes],
+    on_reject: Callable[[int, str], None] | None,
+) -> int:
+    """Append each valid line of `text` to names; return the next line's number."""
+    lines = text.split(b"\n")
+    if not lines[-1]:
+        lines.pop()  # the empty piece after the last newline
+    fullmatch = _PLAIN_NAME.fullmatch
+    for number, raw in enumerate(lines, line_number):
+        name = raw.strip()
+        if fullmatch(name):
+            names.append(name.lower() + b"\n")
+            continue
+        name, reason = _check_line(raw)
+        if name is not None:
+            names.append(name + b"\n")
+        elif reason is not None and on_reject is not None:
+            on_reject(number, reason)
+    return line_number + len(lines)
 
 
 def _check_line(raw: bytes) -> tuple[bytes | None, str | None]:
@@ -172,8 +210,9 @@ def load_corpus(
     included, are reported through on_reject(line_number, reason) and
     skipped; the stream never aborts on bad input.
     """
-    for name in read_names(path, on_reject):
-        yield Username(name.decode("ascii"))
+    for names in read_names(path, on_reject):
+        for name in names:
+            yield Username(name[:-1].decode("ascii"))
 
 
 def _cumulative(weights: dict[str, float]) -> list[float]:

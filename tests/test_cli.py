@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from shardbench import cli
 from shardbench.cli import EXIT_EMPTY, EXIT_IO, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 from shardbench.corpus import CorpusSpec, generate_corpus
 
@@ -312,3 +313,38 @@ def test_threads_env_garbage_warns_but_runs(corpus_path, monkeypatch, capsys):
     monkeypatch.setenv("SHARDBENCH_THREADS", "lots")
     assert main(["analyze", corpus_path, "--strategy", "md5", "--no-counts"]) == EXIT_OK
     assert "SHARDBENCH_THREADS" in capsys.readouterr().err
+
+
+def test_gen_corpus_failure_keeps_the_old_output(tmp_path, capsys):
+    target = tmp_path / "existing.txt"
+    target.write_text("old\n", encoding="utf-8")
+    code = main(["gen-corpus", "--model", "uniform", "--count", "40",
+                 "--min-len", "1", "--max-len", "1", "-o", str(target)])
+    assert code == EXIT_USAGE
+    assert "distinct" in capsys.readouterr().err
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["existing.txt"]
+
+
+@pytest.mark.parametrize("emitter, argv", [
+    ("_emit_analysis", ["analyze", "{corpus}", "--strategy", "md5"]),
+    ("_emit_compare", ["compare", "{corpus}", "--strategy", "md5", "--strategy", "letter"]),
+])
+def test_report_failure_keeps_the_old_output(corpus_path, tmp_path, monkeypatch, capsys,
+                                             emitter, argv):
+    def fail_midway(out, *args):
+        out.write("partial")
+        raise OSError(28, "No space left on device")
+
+    target = tmp_path / "report.txt"
+    target.write_text("old\n", encoding="utf-8")
+    monkeypatch.setattr(cli, emitter, fail_midway)
+    assert main([arg.format(corpus=corpus_path) for arg in argv] + ["-o", str(target)]) == EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["report.txt"]
+    monkeypatch.undo()
+    assert main([arg.format(corpus=corpus_path) for arg in argv] + ["-o", str(target)]) == EXIT_OK
+    capsys.readouterr()
+    assert target.read_text(encoding="utf-8") != "old\n"
+    assert os.listdir(tmp_path) == ["report.txt"]

@@ -1,5 +1,6 @@
 """The bytes-level scan kernel against the per-name oracle, and the shared reader."""
 
+import hashlib
 import os
 import string
 from unittest import mock
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shardbench import cli
-from shardbench.corpus import load_corpus
+from shardbench import cli, corpus
+from shardbench.corpus import load_corpus, read_names
 from shardbench.errors import ShardbenchError
 from shardbench.model import normalize_username
 from shardbench.stats import build_histogram
@@ -155,3 +156,47 @@ def test_threads_warning_prints_once_per_compare(tmp_path, monkeypatch, capsys):
             "--level", "0", "--level", "1"]
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().err.count("SHARDBENCH_THREADS") == 1
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=FILES)
+def test_kernel_matches_the_oracle_across_block_edges(corpus_file, block, data):
+    with mock.patch.object(corpus, "_BLOCK", block):
+        _check_kernel(corpus_file, data, 1)
+
+
+@pytest.mark.parametrize("block", [1, 4, 16 << 10])
+@pytest.mark.parametrize("data, names, rejects", [
+    # A line longer than a block, then one the block read stops inside.
+    (b"ab\n" + b"C" * 64 + b"\nde\n", [b"ab", b"c" * 64, b"de"], []),
+    # A CRLF whose \r and \n fall in different blocks.
+    (b"abc\r\nDe\r\nfg\n", [b"abc", b"de", b"fg"], []),
+    # A final line with no newline.
+    (b"ab\ncd", [b"ab", b"cd"], []),
+    # 65 valid characters: the last 64 alone would pass, the line must not.
+    (b"ab\nz" + b"y" * 64 + b"\ncd\n", [b"ab", b"cd"],
+     [(2, "username has 65 characters, max 64")]),
+])
+def test_reader_at_block_edges(tmp_path, block, data, names, rejects):
+    path = tmp_path / "names.txt"
+    path.write_bytes(data)
+    seen = []
+    with mock.patch.object(corpus, "_BLOCK", block):
+        blocks = list(read_names(path, lambda n, r: seen.append((n, r))))
+        _check_kernel(path, data, 1)
+    assert [name for names_in_block in blocks for name in names_in_block] == \
+        [name + b"\n" for name in names]
+    assert seen == rejects
+
+
+def test_builtin_md5_matches_hashlib():
+    for name in [b"\n", b"frank\n", b"a" * 64 + b"\n", b"user_0042\n"]:
+        assert cli._md5(name).digest() == hashlib.md5(name).digest()
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=FILES)
+def test_kernel_matches_the_oracle_with_hashlib_md5(corpus_file, data):
+    with mock.patch.object(cli, "_md5", hashlib.md5):
+        _check_kernel(corpus_file, data, 1)
