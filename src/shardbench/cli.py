@@ -8,11 +8,13 @@ import csv
 import json
 import os
 import re
+import stat
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
-from .corpus import MODELS, CorpusSpec, generate_corpus, read_names
+from .corpus import MODELS, NAME_END, CorpusSpec, generate_corpus, read_names
 from .errors import ShardbenchError
 from .layout import (
     DEFAULT_FANOUT_LIMIT,
@@ -125,11 +127,12 @@ _LETTER_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else 0 for b 
 def _index_fn(name: str, payload, level: int) -> tuple[Callable[[bytes], int], int]:
     """(joint index function, bucket count) for one strategy at one level.
 
-    The function takes a name as read_names() yields it, ending in b"\\n".
+    The function takes a name as read_names() yields it, ending in NAME_END.
     """
     cfg = _config(name, payload)
     buckets = joint_bucket_count(cfg.level_moduli, level)
     per_level = tuple(enumerate(cfg.level_moduli[: level + 1]))  # (k, modulus) pairs
+    shallow = level + len(NAME_END)  # a name of `level` characters or fewer is skipped
     if name == "md5":
         md5 = _md5
 
@@ -140,10 +143,12 @@ def _index_fn(name: str, payload, level: int) -> tuple[Callable[[bytes], int], i
                 i = i * m + digest[k] % m
             return i
     elif name == "ascii-sum":
+        end_sum = sum(NAME_END)
+
         def index(b: bytes) -> int:
-            if len(b) <= level + 1:
+            if len(b) <= shallow:
                 return buckets
-            total = sum(b) - 10  # less the newline
+            total = sum(b) - end_sum
             i = 0
             for k, m in per_level:
                 i = i * m + total % m
@@ -153,7 +158,7 @@ def _index_fn(name: str, payload, level: int) -> tuple[Callable[[bytes], int], i
         table = _LETTER_INDEX
 
         def index(b: bytes) -> int:
-            if len(b) <= level + 1:
+            if len(b) <= shallow:
                 return buckets
             i = 0
             for c in b[: level + 1]:
@@ -285,21 +290,49 @@ def _scan_corpus(
 
 # --- report emission --------------------------------------------------------
 
-@contextlib.contextmanager
 def _replacing(path: str, newline: str | None):
-    """A new text file that takes the place of `path` only once the block completes.
+    """A text file for `path` whose old content survives a failed run.
 
-    It is written beside `path` and removed on any failure, so `path` either
-    keeps its old content or holds the whole output. Errors in creating or
-    placing it name `path`, as open(path, "w") would.
+    A missing path or a regular file is written as a temp file beside it and
+    put in its place only once the block completes. Anything else (a symlink,
+    a device such as /dev/null, a FIFO, a directory) is opened as it stands,
+    so output still streams through it.
     """
-    temp = f"{path}.{os.getpid()}.tmp"
     try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        old = os.lstat(path)
+    except FileNotFoundError:
+        return _written_beside(path, newline, None)
+    except OSError:  # open() reports it as it always has
+        old = None
+    if old is None or not stat.S_ISREG(old.st_mode):
+        return open(path, "w", encoding="utf-8", newline=newline)
+    return _written_beside(path, newline, old)
+
+
+@contextlib.contextmanager
+def _written_beside(path: str, newline: str | None, old: os.stat_result | None):
+    """A temp file beside `path` that replaces it once the block completes.
+
+    The temp file takes the mode of the file it replaces (and its owner,
+    where that is allowed), or the mode open(path, "w") would give a new
+    file. It is removed on any failure. Errors in creating or placing it
+    name `path`, as open(path, "w") would.
+    """
+    folder, base = os.path.split(path)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=base + ".", suffix=".tmp", dir=folder or ".")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline=newline) as out:
+            if old is None:
+                mask = os.umask(0)
+                os.umask(mask)
+                os.fchmod(fd, 0o666 & ~mask)
+            else:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+                with contextlib.suppress(OSError):  # only root may give a file away
+                    os.fchown(fd, old.st_uid, old.st_gid)
             yield out
         try:
             os.replace(temp, path)

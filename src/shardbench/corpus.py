@@ -114,6 +114,10 @@ _PLAIN_NAME = re.compile(rb"[0-9A-Za-z_]{1,%d}" % MAX_USERNAME_LENGTH)
 _PLAIN_RUN = re.compile(rb"^(?:[0-9A-Za-z_]{1,%d}\n)+" % MAX_USERNAME_LENGTH, re.M)
 # Bytes read per block. Larger blocks buy no speed and raise peak memory.
 _BLOCK = 16 << 10
+# The line terminator every name from read_names() keeps, so md5 hashes the
+# line as read with no copy. load_corpus() strips it, and the letter and
+# ascii-sum indices in cli._index_fn() discount it.
+NAME_END = b"\n"
 
 
 def read_names(
@@ -131,7 +135,7 @@ def read_names(
     normalize_username() does; undecodable and invalid lines are reported
     through on_reject(line_number, reason) and skipped, and blank lines are
     skipped silently. Every yielded list holds lowercased ASCII names, each
-    ending in b"\\n" whether or not its line did.
+    ending in NAME_END whether or not its line did.
     """
     line_number = first_line
     for block in _blocks(path, start, sys.maxsize if end is None else end):
@@ -176,11 +180,11 @@ def _check_lines(
     for number, raw in enumerate(lines, line_number):
         name = raw.strip()
         if fullmatch(name):
-            names.append(name.lower() + b"\n")
+            names.append(name.lower() + NAME_END)
             continue
         name, reason = _check_line(raw)
         if name is not None:
-            names.append(name + b"\n")
+            names.append(name + NAME_END)
         elif reason is not None and on_reject is not None:
             on_reject(number, reason)
     return line_number + len(lines)
@@ -212,7 +216,7 @@ def load_corpus(
     """
     for names in read_names(path, on_reject):
         for name in names:
-            yield Username(name[:-1].decode("ascii"))
+            yield Username(name[: -len(NAME_END)].decode("ascii"))
 
 
 def _cumulative(weights: dict[str, float]) -> list[float]:

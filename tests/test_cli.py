@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -348,3 +349,68 @@ def test_report_failure_keeps_the_old_output(corpus_path, tmp_path, monkeypatch,
     capsys.readouterr()
     assert target.read_text(encoding="utf-8") != "old\n"
     assert os.listdir(tmp_path) == ["report.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-corpus", "--model", "uniform", "--count", "50"],
+    ["analyze", "{corpus}", "--strategy", "md5"],
+    ["compare", "{corpus}", "--strategy", "md5", "--strategy", "letter"],
+])
+def test_output_to_a_device_streams_through_it(corpus_path, capsys, argv):
+    assert main([arg.format(corpus=corpus_path) for arg in argv] + ["-o", os.devnull]) == EXIT_OK
+    capsys.readouterr()
+    assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target = tmp_path / "corpus.txt"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["gen-corpus", "--model", "uniform", "--count", "50", "-o", str(link)]) == EXIT_OK
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert len(target.read_text(encoding="utf-8").splitlines()) == 50
+    assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "link.txt"]
+
+
+def test_replaced_output_keeps_its_mode(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    assert main(["gen-corpus", "--model", "uniform", "--count", "50", "-o", str(target)]) == EXIT_OK
+    capsys.readouterr()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert len(target.read_text(encoding="utf-8").splitlines()) == 50
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root can give a file to another owner")
+def test_replaced_output_keeps_its_owner(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("old\n", encoding="utf-8")
+    os.chown(target, 4321, 4322)
+    assert main(["gen-corpus", "--model", "uniform", "--count", "50", "-o", str(target)]) == EXIT_OK
+    capsys.readouterr()
+    assert (target.stat().st_uid, target.stat().st_gid) == (4321, 4322)
+
+
+def test_new_output_gets_the_umask_mode(tmp_path, capsys):
+    mask = os.umask(0o027)
+    try:
+        code = main(["gen-corpus", "--model", "uniform", "--count", "50",
+                     "-o", str(tmp_path / "new.txt")])
+    finally:
+        os.umask(mask)
+    assert code == EXIT_OK
+    capsys.readouterr()
+    assert stat.S_IMODE((tmp_path / "new.txt").stat().st_mode) == 0o640
+
+
+def test_a_leftover_temp_file_does_not_block_output(tmp_path, capsys):
+    target = tmp_path / "corpus.txt"
+    leftover = tmp_path / f"corpus.txt.{os.getpid()}.tmp"
+    leftover.write_text("killed run\n", encoding="utf-8")
+    assert main(["gen-corpus", "--model", "uniform", "--count", "50", "-o", str(target)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(target.read_text(encoding="utf-8").splitlines()) == 50
+    assert sorted(os.listdir(tmp_path)) == sorted([target.name, leftover.name])
