@@ -11,7 +11,6 @@ import re
 import stat
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 from .corpus import MODELS, NAME_END, CorpusSpec, generate_corpus, read_names
@@ -167,61 +166,48 @@ def _index_fn(name: str, payload, level: int) -> tuple[Callable[[bytes], int], i
     return index, buckets
 
 
-def _scan_chunk(task) -> tuple[list[Histogram], list[tuple[int, str]]]:
-    """One pass over a byte range: a histogram per (name, payload, level) pair."""
-    path, start, end, first_line, pairs = task
+def _scan_chunk(task) -> tuple[list[Histogram], list[tuple[int, str]], int]:
+    """One pass over a byte range: a histogram per (name, payload, level) pair.
+
+    Also returns the rejected lines, numbered from 1 at the range's start,
+    and the number of lines in the range.
+    """
+    path, start, end, pairs = task
     jobs = []
     for name, payload, level in pairs:
         index, buckets = _index_fn(name, payload, level)
         jobs.append((index, [0] * (buckets + 1)))  # the last slot counts skipped names
     rejects: list[tuple[int, str]] = []
-    for names in read_names(path, lambda n, r: rejects.append((n, r)), start, end, first_line):
-        for index, counts in jobs:
-            for b in names:
-                counts[index(b)] += 1
+    reader = read_names(path, lambda n, r: rejects.append((n, r)), start, end)
+    try:
+        while True:
+            names = next(reader)
+            for index, counts in jobs:
+                for b in names:
+                    counts[index(b)] += 1
+    except StopIteration as done:  # read_names returns its line count
+        lines = done.value
     histograms = []
     for _, counts in jobs:
         skipped = counts.pop()
         histograms.append(Histogram(counts, sum(counts), skipped))
-    return histograms, rejects
+    return histograms, rejects, lines
 
 
-def _plan_chunks(path: str, workers: int) -> list[tuple[int, int, int]]:
-    """Newline-aligned (start, end, first_line) ranges covering the file."""
+def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
+    """Newline-aligned (start, end) byte ranges covering the file."""
     size = os.path.getsize(path)
-    if size == 0 or workers <= 1:
-        return [(0, size, 1)]
-    targets = [size * i // workers for i in range(1, workers)]
-    marks: list[tuple[int, int]] = []
+    if workers <= 1:
+        return [(0, size)]
+    bounds = [0]
     with open(path, "rb") as handle:
-        base = 0
-        lines_before = 0
-        ti = 0
-        while ti < len(targets):
-            block = handle.read(1 << 20)
-            if not block:
-                break
-            while ti < len(targets) and targets[ti] < base + len(block):
-                local = max(targets[ti] - base, 0)
-                newline = block.find(b"\n", local)
-                if newline == -1:
-                    break  # the aligning newline sits in a later block
-                aligned = base + newline + 1
-                line_number = lines_before + block.count(b"\n", 0, newline + 1) + 1
-                if not marks or marks[-1][0] != aligned:
-                    marks.append((aligned, line_number))
-                ti += 1
-            lines_before += block.count(b"\n")
-            base += len(block)
-    chunks = []
-    start, first_line = 0, 1
-    for offset, line_number in marks:
-        if offset > start:
-            chunks.append((start, offset, first_line))
-            start, first_line = offset, line_number
-    if start < size:
-        chunks.append((start, size, first_line))
-    return chunks or [(0, size, 1)]
+        for i in range(1, workers):
+            handle.seek(size * i // workers)
+            aligned = handle.tell() + len(handle.readline())  # just past the next newline
+            if bounds[-1] < aligned < size:
+                bounds.append(aligned)
+    bounds.append(size)
+    return list(zip(bounds, bounds[1:]))
 
 
 def _worker_count() -> int:
@@ -254,16 +240,20 @@ def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
     explicit = os.environ.get("SHARDBENCH_THREADS") not in (None, "", "0")
     if not explicit and os.path.getsize(path) < _PARALLEL_MIN_BYTES:
         workers = 1
-    tasks = [(path, start, end, first_line, pairs)
-             for start, end, first_line in _plan_chunks(path, workers)]
+    tasks = [(path, start, end, pairs) for start, end in _plan_chunks(path, workers)]
     if len(tasks) == 1:
-        return _scan_chunk(tasks[0])
+        histograms, rejects, _ = _scan_chunk(tasks[0])
+        return histograms, rejects
+    # Imported here: at module level it would cost every run, serial ones too, ~25 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         results = list(pool.map(_scan_chunk, tasks))
-    histograms, rejects = results[0][0], list(results[0][1])
-    for partials, partial_rejects in results[1:]:
+    histograms, rejects, lines_before = results[0]
+    for partials, partial_rejects, lines in results[1:]:
         histograms = [merge_histograms(h, p) for h, p in zip(histograms, partials)]
-        rejects.extend(partial_rejects)
+        rejects += [(n + lines_before, reason) for n, reason in partial_rejects]
+        lines_before += lines
     return histograms, rejects
 
 

@@ -8,7 +8,7 @@ import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
 from .errors import ShardbenchError, SpaceExhausted
 from .model import ALPHABET, MAX_USERNAME_LENGTH, Username, normalize_username
@@ -125,19 +125,19 @@ def read_names(
     on_reject: Callable[[int, str], None] | None = None,
     start: int = 0,
     end: int | None = None,
-    first_line: int = 1,
-) -> Iterator[list[bytes]]:
+) -> Generator[list[bytes], None, int]:
     """Yield the valid names of each block of lines, in file order.
 
     Reads lines split on b"\\n" from byte offset `start` (the start of a
-    line, numbered `first_line`) up to `end`, or to the end of the file, in
-    blocks of whole lines. Each line is trimmed and validated exactly as
+    line, numbered 1) up to `end`, or to the end of the file, in blocks of
+    whole lines. Each line is trimmed and validated exactly as
     normalize_username() does; undecodable and invalid lines are reported
     through on_reject(line_number, reason) and skipped, and blank lines are
     skipped silently. Every yielded list holds lowercased ASCII names, each
-    ending in NAME_END whether or not its line did.
+    ending in NAME_END whether or not its line did. The generator returns
+    the number of lines it read.
     """
-    line_number = first_line
+    line_number = 1
     for block in _blocks(path, start, sys.maxsize if end is None else end):
         names: list[bytes] = []
         done = 0
@@ -149,6 +149,7 @@ def read_names(
             done = run.end()
         line_number = _check_lines(block[done:], line_number, names, on_reject)
         yield names
+    return line_number - 1
 
 
 def _blocks(path, start: int, end: int) -> Iterator[bytes]:
@@ -263,30 +264,31 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Username]:
             f"produce {distinct_capacity(spec)} distinct names of length "
             f"{spec.min_len}..{spec.max_len}"
         )
-    rng = random.Random(spec.seed)
-    span = spec.max_len - spec.min_len + 1
-    if spec.model == "uniform":
-        def draw() -> str:
-            length = spec.min_len + int(rng.random() * span)
-            return "".join(ALPHABET[int(rng.random() * 37)] for _ in range(length))
-    else:
-        first = _cumulative(first_letter_weights())
-        cumulative = {cls: _cumulative(table) for cls, table in _TRANSITIONS.items()}
-
-        def pick(table: list[float]) -> str:
-            return ALPHABET[bisect.bisect_right(table, rng.random() * table[-1])]
-
-        def draw() -> str:
-            length = spec.min_len + int(rng.random() * span)
-            chars = [pick(first)]
-            for _ in range(length - 1):
-                chars.append(pick(cumulative[_char_class(chars[-1])]))
-            return "".join(chars)
-
+    random_ = random.Random(spec.seed).random
+    count, min_len, span = spec.count, spec.min_len, spec.max_len - spec.min_len + 1
     seen: set[str] = set()
-    while len(seen) < spec.count:
-        name = draw()
-        if name in seen:
-            continue
-        seen.add(name)
-        yield Username(name)
+    if spec.model == "uniform":
+        while len(seen) < count:
+            length = min_len + int(random_() * span)
+            name = "".join([ALPHABET[int(random_() * 37)] for _ in range(length)])
+            if name not in seen:
+                seen.add(name)
+                yield Username(name)
+        return
+    first = _cumulative(first_letter_weights())
+    first_total = first[-1]
+    cumulative = {cls: _cumulative(table) for cls, table in _TRANSITIONS.items()}
+    # (cumulative table, total) of the class that follows each alphabet index.
+    after = [(table, table[-1]) for table in (cumulative[_char_class(c)] for c in ALPHABET)]
+    bisect_right = bisect.bisect_right
+    while len(seen) < count:
+        length = min_len + int(random_() * span)
+        i = bisect_right(first, random_() * first_total)
+        name = ALPHABET[i]
+        for _ in range(length - 1):
+            table, total = after[i]
+            i = bisect_right(table, random_() * total)
+            name += ALPHABET[i]
+        if name not in seen:
+            seen.add(name)
+            yield Username(name)

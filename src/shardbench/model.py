@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import EmptyName, InvalidCharacter, TooLong
@@ -11,6 +12,9 @@ ALPHABET_SIZE = len(ALPHABET)  # 37
 MAX_USERNAME_LENGTH = 64
 
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
+# Exactly the strings Username accepts; any other value takes the walk in
+# Username.__new__, which finds the reason.
+_VALID = re.compile(r"[0-9a-z_]{1,%d}" % MAX_USERNAME_LENGTH)
 
 
 class Username(str):
@@ -23,13 +27,18 @@ class Username(str):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Username":
-        if not value:
-            raise EmptyName("username is empty")
-        if len(value) > MAX_USERNAME_LENGTH:
-            raise TooLong(f"username has {len(value)} characters, max {MAX_USERNAME_LENGTH}")
-        for position, char in enumerate(value):
-            if char not in _CHAR_INDEX:
-                raise InvalidCharacter(char, position)
+        try:
+            valid = _VALID.fullmatch(value)
+        except TypeError:  # not a string: the walk treats it as it always has
+            valid = None
+        if valid is None:
+            if not value:
+                raise EmptyName("username is empty")
+            if len(value) > MAX_USERNAME_LENGTH:
+                raise TooLong(f"username has {len(value)} characters, max {MAX_USERNAME_LENGTH}")
+            for position, char in enumerate(value):
+                if char not in _CHAR_INDEX:
+                    raise InvalidCharacter(char, position)
         return super().__new__(cls, value)
 
 

@@ -88,15 +88,29 @@ def build_histogram(
     return Histogram(counts, total, skipped)
 
 
-def build_mapping_histogram(ids: Iterable[int], cfg: MappingConfig) -> Histogram:
-    """Per-server load histogram for a range of counter IDs."""
-    counts = [0] * cfg.num_servers
-    total = 0
-    for member_id in ids:
-        _, server = counter_placement(member_id, cfg)
-        counts[server] += 1
-        total += 1
-    return Histogram(counts, total)
+def build_mapping_histogram(ids: range, cfg: MappingConfig) -> Histogram:
+    """Per-server load histogram for a step-1 range of counter IDs.
+
+    Takes O(servers) steps, not one per ID: the buckets from the first ID's
+    to the last ID's deal out bucket_size IDs each, round-robin from the
+    first bucket's server, less the IDs of those two buckets outside the range.
+    """
+    if not isinstance(ids, range) or ids.step != 1:
+        got = ids if isinstance(ids, range) else type(ids).__name__
+        raise TypeError(f"ids must be a range with step 1, got {got}")
+    size, servers = cfg.bucket_size, cfg.num_servers
+    counts = [0] * servers
+    if not ids:
+        return Histogram(counts, 0)
+    first, last = ids[0], ids[-1]
+    first_bucket, _ = counter_placement(first, cfg)
+    last_bucket, _ = counter_placement(last, cfg)
+    rounds, rest = divmod(last_bucket - first_bucket + 1, servers)
+    for k in range(servers):
+        counts[(first_bucket + k) % servers] = (rounds + (k < rest)) * size
+    counts[first_bucket % servers] -= first - 1 - first_bucket * size
+    counts[last_bucket % servers] -= (last_bucket + 1) * size - last
+    return Histogram(counts, len(ids))
 
 
 def compute_stats(h: Histogram) -> DistributionStats:

@@ -1,5 +1,7 @@
 """Corpus loading and the synthetic generators."""
 
+import hashlib
+
 import pytest
 
 from shardbench.corpus import (
@@ -45,6 +47,23 @@ def test_seed7_stream_is_pinned():
     for name in generate_corpus(CorpusSpec("name_like", 5, 7)):
         names.append(str(name))
     assert names == ["cirese", "asereter", "tesonirer", "sesise", "ari"]
+
+
+@pytest.mark.parametrize("spec, sha256", [
+    (CorpusSpec("name_like", 20_000, 7, min_len=3, max_len=12),
+     "fee7f8b2b770a351c8bc0a2730b0e158155cf7fa822ffa1a5457ef367dd9aeca"),
+    (CorpusSpec("name_like", 5_000, 3, min_len=1, max_len=64),
+     "37c365f1f526a8dd7d7305a8651c8f721e682cdf35a111682fd8bebb31350e2c"),
+    (CorpusSpec("uniform", 20_000, 99, min_len=3, max_len=12),
+     "0f9e6c63814c895744ead6d9856f871b27a0608a0216fc893ca66af14629b29d"),
+    (CorpusSpec("uniform", 1_000, 4, min_len=1, max_len=2),
+     "322b305da07ab67b5ed104a1dd2c3a38628bf490f529b9098751ad706f6f46f4"),
+])
+def test_whole_stream_is_pinned(spec, sha256):
+    # The digest of everything gen-corpus writes for the spec, so a faster
+    # draw that changes any byte of any name fails here.
+    stream = "".join(name + "\n" for name in generate_corpus(spec))
+    assert hashlib.sha256(stream.encode("ascii")).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("model", ["uniform", "name_like"])

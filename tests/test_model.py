@@ -128,3 +128,47 @@ def test_placement_accessors():
     assert p.depth == 2
     assert p.bucket(0) == 3
     assert p.modulus(1) == 20
+
+
+def _walk(value):
+    """Username's character walk, the check every name took before the regex fast path."""
+    if not value:
+        raise EmptyName("username is empty")
+    if len(value) > MAX_USERNAME_LENGTH:
+        raise TooLong(f"username has {len(value)} characters, max {MAX_USERNAME_LENGTH}")
+    for position, char in enumerate(value):
+        if char not in ALPHABET:
+            raise InvalidCharacter(char, position)
+    return value
+
+
+def _outcome(check, value):
+    try:
+        return "ok", check(value)
+    except (EmptyName, InvalidCharacter, TooLong) as exc:
+        return type(exc), str(exc)
+
+
+_FILL = "a" * 63  # a bad character at position 63 makes 64 in all
+
+
+@pytest.mark.parametrize("value", [
+    "",
+    "a" * (MAX_USERNAME_LENGTH + 1),
+    "!" + _FILL,
+    "abc!" + "d" * 60,
+    _FILL + "!",
+    "Bob",
+    "bob\n",
+    "١",
+    "user١٢",
+    "a" * MAX_USERNAME_LENGTH,
+    "user_0042",
+])
+def test_username_fast_path_agrees_with_the_walk(value):
+    assert _outcome(Username, value) == _outcome(_walk, value)
+
+
+@given(st.text(alphabet=ALPHABET + "AZ \n\t!١é", max_size=MAX_USERNAME_LENGTH + 2))
+def test_username_accepts_and_rejects_exactly_as_the_walk(value):
+    assert _outcome(Username, value) == _outcome(_walk, value)

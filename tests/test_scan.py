@@ -200,3 +200,21 @@ def test_builtin_md5_matches_hashlib():
 def test_kernel_matches_the_oracle_with_hashlib_md5(corpus_file, data):
     with mock.patch.object(cli, "_md5", hashlib.md5):
         _check_kernel(corpus_file, data, 1)
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_pooled_reject_line_numbers_count_from_the_file_start(tmp_path, monkeypatch, threads):
+    # Rejects in every chunk: each worker numbers its lines from its own
+    # chunk start, and the parent must shift them by the lines before it.
+    lines = []
+    for number in range(1, 401):
+        lines.append(b"bad name" if number % 37 == 0 else b"" if number % 41 == 0
+                     else b"\xff" if number % 53 == 0 else b"user%d" % number)
+    path = tmp_path / "names.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    _, expected = oracle(path.read_bytes())
+    monkeypatch.setenv("SHARDBENCH_THREADS", str(threads))
+    assert len(cli._plan_chunks(str(path), threads)) == threads
+    _, rejects = cli._scan(str(path), PAIRS[:1])
+    assert rejects == expected
+    assert rejects[-1] == (371, "undecodable bytes")

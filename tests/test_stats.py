@@ -28,6 +28,7 @@ from shardbench.strategies import (
     MappingConfig,
     Md5Config,
     ascii_sum_placement,
+    counter_placement,
     letter_placement,
     md5_placement,
 )
@@ -135,6 +136,35 @@ def test_build_mapping_histogram_even_fill():
     hist = build_mapping_histogram(range(1, 101), MappingConfig(10, 10))
     assert hist.counts == [10] * 10
     assert hist.total == 100
+
+
+def _mapping_loads_per_id(ids, cfg):
+    """The reference: place every ID with counter_placement and count per server."""
+    counts = [0] * cfg.num_servers
+    for member_id in ids:
+        _, server = counter_placement(member_id, cfg)
+        counts[server] += 1
+    return counts
+
+
+@given(first=st.integers(1, 400), length=st.integers(0, 400),
+       bucket_size=st.integers(1, 30), servers=st.integers(1, 12))
+def test_mapping_closed_form_matches_the_per_id_loop(first, length, bucket_size, servers):
+    ids = range(first, first + length)
+    cfg = MappingConfig(bucket_size, servers)
+    hist = build_mapping_histogram(ids, cfg)
+    assert hist.counts == _mapping_loads_per_id(ids, cfg)
+    assert hist.total == length
+
+
+def test_mapping_histogram_takes_only_step_one_ranges():
+    cfg = MappingConfig(10, 4)
+    with pytest.raises(TypeError, match="range with step 1, got list"):
+        build_mapping_histogram([1, 2, 3], cfg)
+    with pytest.raises(TypeError, match=r"got range\(1, 10, 2\)"):
+        build_mapping_histogram(range(1, 10, 2), cfg)
+    with pytest.raises(ValueError, match="member_id must be >= 1, got 0"):
+        build_mapping_histogram(range(0, 5), cfg)
 
 
 def test_merge_identity():
