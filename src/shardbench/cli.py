@@ -11,6 +11,7 @@ import re
 import stat
 import sys
 import tempfile
+from operator import add
 from typing import Callable, Sequence
 
 from .corpus import MODELS, NAME_END, CorpusSpec, generate_corpus, read_names
@@ -52,6 +53,7 @@ EXIT_LIMIT = 5
 _PARALLEL_MIN_BYTES = 4 << 20
 _MAX_AUTO_WORKERS = 8
 _WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
+_REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
 _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
 
 try:  # CPython's built-in MD5 skips OpenSSL's per-call set-up
@@ -115,83 +117,141 @@ def _parse_ids(text: str) -> range:
 
 # --- corpus scanning (serial and parallel) ----------------------------------
 
-# Kernel joint indices: each maps a valid name's lowercased bytes to the
-# row-major bucket index linear_index() gives its placement at the level, or
-# to one slot past the last bucket when the placement is too shallow (skipped).
+# Kernel loops: one per strategy spec, at the deepest level asked of it. Each
+# adds a block of names, as read_names() yields them (ending in NAME_END), to
+# the spec's tallies: tallies[level] counts each name reaching `level` at the
+# row-major joint index linear_index() gives its placement there, and
+# tallies[k], k < level, counts each name of exactly k + 1 characters, too
+# short to reach `level`, at its own level-k index. md5 never skips a name.
 # The per-name placement functions stay as the reference they must match.
 
 _LETTER_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else 0 for b in range(256))
 
 
-def _index_fn(name: str, payload, level: int) -> tuple[Callable[[bytes], int], int]:
-    """(joint index function, bucket count) for one strategy at one level.
-
-    The function takes a name as read_names() yields it, ending in NAME_END.
-    """
-    cfg = _config(name, payload)
-    buckets = joint_bucket_count(cfg.level_moduli, level)
-    per_level = tuple(enumerate(cfg.level_moduli[: level + 1]))  # (k, modulus) pairs
-    shallow = level + len(NAME_END)  # a name of `level` characters or fewer is skipped
+def _spec_loop(name: str, payload, level: int) -> tuple[Callable[[list[bytes]], None], list]:
+    """(loop over a block of names, the dense tallies it fills) for one spec at `level`."""
+    moduli = _config(name, payload).level_moduli
+    tallies = [[0] * joint_bucket_count(moduli, k) for k in range(level + 1)]
+    counts, short = tallies[level], tallies[0]
+    depth = level + 1  # characters a name needs to reach `level`
+    shallow = level + len(NAME_END)  # a name whose bytes are no more than this is too short
+    end_len, end_sum = len(NAME_END), sum(NAME_END)
+    m0, m1 = moduli[0], moduli[1] if level else 0
+    per_level = tuple(enumerate(moduli[:depth]))  # (k, modulus) pairs
     if name == "md5":
-        md5 = _md5
+        md5 = _md5  # md5_digest() hashes the name with its newline too
+        if level == 0:
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    counts[md5(b).digest()[0] % m0] += 1
+        elif level == 1:
+            rows = [byte % m0 * m1 for byte in range(256)]  # lookups beat two % and a *
+            cols = [byte % m1 for byte in range(256)]
 
-        def index(b: bytes) -> int:
-            digest = md5(b).digest()  # md5_digest() hashes the name with its newline too
-            i = 0
-            for k, m in per_level:
-                i = i * m + digest[k] % m
-            return i
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    d = md5(b).digest()
+                    counts[rows[d[0]] + cols[d[1]]] += 1
+        else:
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    d = md5(b).digest()
+                    i = 0
+                    for k, m in per_level:
+                        i = i * m + d[k] % m
+                    counts[i] += 1
     elif name == "ascii-sum":
-        end_sum = sum(NAME_END)
+        if level == 0:
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    counts[(sum(b) - end_sum) % m0] += 1
+        elif level == 1:
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    total = sum(b) - end_sum
+                    if len(b) > shallow:
+                        counts[total % m0 * m1 + (total - b[0]) % m1] += 1
+                    else:
+                        short[total % m0] += 1
+        else:
+            prefixes = [per_level[:n] for n in range(depth + 1)]  # the pairs n characters reach
 
-        def index(b: bytes) -> int:
-            if len(b) <= shallow:
-                return buckets
-            total = sum(b) - end_sum
-            i = 0
-            for k, m in per_level:
-                i = i * m + total % m
-                total -= b[k]
-            return i
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    reach = len(b) - end_len
+                    if reach > depth:
+                        reach = depth
+                    total = sum(b) - end_sum
+                    i = 0
+                    for k, m in prefixes[reach]:
+                        i = i * m + total % m
+                        total -= b[k]
+                    tallies[reach - 1][i] += 1
     else:
         table = _LETTER_INDEX
+        if level == 0:
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    counts[table[b[0]]] += 1
+        elif level == 1:
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    if len(b) > shallow:
+                        counts[table[b[0]] * 37 + table[b[1]]] += 1
+                    else:
+                        short[table[b[0]]] += 1
+        else:
+            def loop(names: list[bytes]) -> None:
+                for b in names:
+                    reach = len(b) - end_len
+                    if reach > depth:
+                        reach = depth
+                    i = 0
+                    for c in b[:reach]:
+                        i = i * 37 + table[c]
+                    tallies[reach - 1][i] += 1
+    return loop, tallies
 
-        def index(b: bytes) -> int:
-            if len(b) <= shallow:
-                return buckets
-            i = 0
-            for c in b[: level + 1]:
-                i = i * 37 + table[c]
-            return i
-    return index, buckets
 
-
-def _scan_chunk(task) -> tuple[list[Histogram], list[tuple[int, str]], int]:
-    """One pass over a byte range: a histogram per (name, payload, level) pair.
+def _scan_chunk(task) -> tuple[list[list[Histogram]], list[tuple[int, str]], int]:
+    """One pass over a byte range: the tallies of each (name, payload, level) spec.
 
     Also returns the rejected lines, numbered from 1 at the range's start,
     and the number of lines in the range.
     """
-    path, start, end, pairs = task
-    jobs = []
-    for name, payload, level in pairs:
-        index, buckets = _index_fn(name, payload, level)
-        jobs.append((index, [0] * (buckets + 1)))  # the last slot counts skipped names
+    path, start, end, specs = task
+    loops = [_spec_loop(name, payload, level) for name, payload, level in specs]
     rejects: list[tuple[int, str]] = []
     reader = read_names(path, lambda n, r: rejects.append((n, r)), start, end)
     try:
         while True:
             names = next(reader)
-            for index, counts in jobs:
-                for b in names:
-                    counts[index(b)] += 1
+            for loop, _ in loops:
+                loop(names)
     except StopIteration as done:  # read_names returns its line count
         lines = done.value
-    histograms = []
-    for _, counts in jobs:
-        skipped = counts.pop()
-        histograms.append(Histogram(counts, sum(counts), skipped))
-    return histograms, rejects, lines
+    return [[Histogram(t, sum(t)) for t in tallies] for _, tallies in loops], rejects, lines
+
+
+def _levels(tallies: list[Histogram]) -> list[Histogram]:
+    """A spec's histogram at each level 0..L, from its tallies at its deepest level L.
+
+    Level l's joint index is level l+1's divided by level l+1's modulus, so
+    each level-l bucket sums one row-major run of that many level-(l+1)
+    buckets, plus the names that stop at level l. The names too short to
+    reach level l are its skipped.
+    """
+    deepest = tallies[-1]
+    skipped = sum(t.total for t in tallies[:-1])
+    levels = [Histogram(deepest.counts, deepest.total, skipped)]
+    for tally in reversed(tallies[:-1]):
+        deeper = levels[-1].counts
+        run = len(deeper) // tally.bucket_count
+        folded = [sum(deeper[i:i + run]) for i in range(0, len(deeper), run)]
+        counts = list(map(add, folded, tally.counts))
+        skipped -= tally.total
+        levels.append(Histogram(counts, sum(counts), skipped))
+    return levels[::-1]
 
 
 def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
@@ -232,35 +292,52 @@ def _worker_count() -> int:
 def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
     """Histogram a corpus file once for every (name, payload, level) pair.
 
+    Scans each distinct (name, payload) spec once, at its deepest level,
+    and folds its shallower levels from that. Returns the histograms, in
+    pair order, and every rejected line as (line_number, reason).
+    """
+    deepest: dict[tuple[str, object], int] = {}
+    for name, payload, level in pairs:
+        deepest[name, payload] = max(level, deepest.get((name, payload), level))
+    tallies, rejects = _scan_specs(path, [(*spec, level) for spec, level in deepest.items()])
+    levels = {spec: _levels(spec_tallies) for spec, spec_tallies in zip(deepest, tallies)}
+    return [levels[name, payload][level] for name, payload, level in pairs], rejects
+
+
+def _scan_specs(path: str, specs) -> tuple[list[list[Histogram]], list[tuple[int, str]]]:
+    """The tallies of every (name, payload, level) spec over a corpus file, and its rejects.
+
     Splits the file across processes when worthwhile and merges the
-    per-chunk histograms pairwise in input order. Returns the histograms,
-    in pair order, and every rejected line as (line_number, reason).
+    per-chunk tallies pairwise in input order.
     """
     workers = _worker_count()
     explicit = os.environ.get("SHARDBENCH_THREADS") not in (None, "", "0")
     if not explicit and os.path.getsize(path) < _PARALLEL_MIN_BYTES:
         workers = 1
-    tasks = [(path, start, end, pairs) for start, end in _plan_chunks(path, workers)]
+    tasks = [(path, start, end, specs) for start, end in _plan_chunks(path, workers)]
     if len(tasks) == 1:
-        histograms, rejects, _ = _scan_chunk(tasks[0])
-        return histograms, rejects
+        tallies, rejects, _ = _scan_chunk(tasks[0])
+        return tallies, rejects
     # Imported here: at module level it would cost every run, serial ones too, ~25 ms.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         results = list(pool.map(_scan_chunk, tasks))
-    histograms, rejects, lines_before = results[0]
+    tallies, rejects, lines_before = results[0]
     for partials, partial_rejects, lines in results[1:]:
-        histograms = [merge_histograms(h, p) for h, p in zip(histograms, partials)]
+        tallies = [[merge_histograms(h, p) for h, p in zip(spec, partial)]
+                   for spec, partial in zip(tallies, partials)]
         rejects += [(n + lines_before, reason) for n, reason in partial_rejects]
         lines_before += lines
-    return histograms, rejects
+    return tallies, rejects
 
 
 def _report_rejects(rejects: list[tuple[int, str]]) -> None:
     if rejects:
-        for line_number, reason in rejects:
-            print(f"line {line_number}: {reason}", file=sys.stderr)
+        # A line-buffered stderr makes one write() per newline printed: join each batch.
+        for i in range(0, len(rejects), _REJECTS_PER_WRITE):
+            batch = rejects[i:i + _REJECTS_PER_WRITE]
+            sys.stderr.write("".join(f"line {n}: {reason}\n" for n, reason in batch))
         print(f"{len(rejects)} lines rejected", file=sys.stderr)
 
 

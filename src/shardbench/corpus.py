@@ -116,7 +116,7 @@ _PLAIN_RUN = re.compile(rb"^(?:[0-9A-Za-z_]{1,%d}\n)+" % MAX_USERNAME_LENGTH, re
 _BLOCK = 16 << 10
 # The line terminator every name from read_names() keeps, so md5 hashes the
 # line as read with no copy. load_corpus() strips it, and the letter and
-# ascii-sum indices in cli._index_fn() discount it.
+# ascii-sum loops of cli._spec_loop() discount it.
 NAME_END = b"\n"
 
 
@@ -258,10 +258,11 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Username]:
     output stable across platforms and Python versions. Duplicates redraw
     the whole name (length included) so the model's shape is undisturbed.
     """
-    if spec.count > distinct_capacity(spec):
+    capacity = distinct_capacity(spec)
+    if spec.count > capacity:
         raise SpaceExhausted(
             f"{spec.count} names requested but the {spec.model} model can only "
-            f"produce {distinct_capacity(spec)} distinct names of length "
+            f"produce {capacity} distinct names of length "
             f"{spec.min_len}..{spec.max_len}"
         )
     random_ = random.Random(spec.seed).random

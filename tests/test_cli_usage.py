@@ -1,7 +1,8 @@
-"""CLI contract details: bad strategy configs are usage errors, compare's stderr is pinned."""
+"""CLI contract details: bad strategy configs are usage errors; exact output is pinned."""
 
 import pytest
 
+from shardbench import cli
 from shardbench.cli import EXIT_OK, EXIT_USAGE, main
 
 # Every reject class, Unicode whitespace padding, CRLF, a blank line and no
@@ -55,3 +56,34 @@ def test_bad_strategy_config_is_a_usage_error(dirty_path, argv, capsys):
     assert out == ""
     assert err.startswith("usage error: ")
     assert err.count("\n") == 1
+
+
+def test_overdrawn_corpus_message_is_pinned(tmp_path, capsys):
+    argv = ["gen-corpus", "--model", "uniform", "--count", "40",
+            "--min-len", "1", "--max-len", "1", "-o", str(tmp_path / "x.txt")]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 40 names requested but the uniform model can only produce "
+                   "37 distinct names of length 1..1\n")
+
+
+@pytest.mark.parametrize("strategy, stdout", [
+    ("md5", "18 40 72\n/18/40/72/frank\n"),
+    ("letter", "15 27 10 23 20\n/f/r/a/n/k/frank\n"),
+])
+def test_locate_default_root_renders_a_leading_slash(strategy, stdout, capsys):
+    assert main(["locate", "frank", "--strategy", strategy]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert (out, err) == (stdout, "")
+
+
+def test_reject_report_is_pinned_past_one_write(tmp_path, monkeypatch, capsys):
+    # More rejects than one batched write holds, so the batches must join seamlessly.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"ok\n" + b"na me\n" * 5)
+    monkeypatch.setattr(cli, "_REJECTS_PER_WRITE", 2)
+    assert main(["analyze", str(path), "--strategy", "md5", "--no-counts"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("".join(f"line {n}: invalid character ' ' at position 2\n"
+                                  for n in range(2, 7)) + "5 lines rejected\nideal_mean=")

@@ -218,3 +218,72 @@ def test_pooled_reject_line_numbers_count_from_the_file_start(tmp_path, monkeypa
     _, rejects = cli._scan(str(path), PAIRS[:1])
     assert rejects == expected
     assert rejects[-1] == (371, "undecodable bytes")
+
+
+# Every level of four deeper specs, with the md5 spec asked for twice: the
+# kernel scans each distinct spec once, at its deepest level, and folds the
+# shallower levels (and the names too short to reach them) from that scan.
+# md5:32,16 has unequal moduli, so a row stride taken from the wrong level shows.
+DEEP = [
+    ("letter", 4, lambda u: letter_placement(u, LetterConfig(4)), (37,) * 4),
+    ("ascii-sum", (31, 33, 7),
+     lambda u: ascii_sum_placement(u, AsciiSumConfig((31, 33, 7))), (31, 33, 7)),
+    ("md5", (64, 64, 128), lambda u: md5_placement(u, Md5Config()), (64, 64, 128)),
+    ("md5", (32, 16), lambda u: md5_placement(u, Md5Config((32, 16))), (32, 16)),
+]
+DEEP_PAIRS = [(name, payload, level) for name, payload, _, moduli in DEEP
+              for level in range(len(moduli))]
+DEEP_PAIRS += [("md5", (64, 64, 128), level) for level in range(3)]
+# Names of 1..5 characters, so some stop short of each level, among dirty lines.
+DEEP_FILES = st.lists(
+    st.one_of(st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=5)
+              .map(str.encode), _LINES),
+    max_size=30,
+).map(lambda lines: b"\n".join(lines) + b"\n")
+
+
+def _check_every_level(path, data: bytes, pairs, threads: int) -> None:
+    path.write_bytes(data)
+    names, rejects = oracle(data)
+    with mock.patch.dict(os.environ, {"SHARDBENCH_THREADS": str(threads)}):
+        histograms, scanned_rejects = cli._scan(str(path), pairs)
+    assert scanned_rejects == rejects
+    by_spec = {(name, payload): (placement_fn, moduli)
+               for name, payload, placement_fn, moduli in DEEP}
+    for (name, payload, level), histogram in zip(pairs, histograms):
+        placement_fn, moduli = by_spec[name, payload]
+        expected = build_histogram(names, placement_fn, moduli, level)
+        assert (histogram.counts, histogram.total, histogram.skipped) == \
+            (expected.counts, expected.total, expected.skipped), (name, payload, level)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=DEEP_FILES, pairs=st.permutations(DEEP_PAIRS))
+def test_every_level_of_a_spec_matches_the_oracle(corpus_file, data, pairs):
+    _check_every_level(corpus_file, data, pairs, 1)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=DEEP_FILES, pairs=st.permutations(DEEP_PAIRS))
+def test_every_level_of_a_spec_matches_the_oracle_pooled(corpus_file, data, pairs):
+    _check_every_level(corpus_file, data, pairs, 3)
+
+
+def test_compare_hashes_each_name_once_per_distinct_md5_spec(tmp_path, monkeypatch, capsys):
+    names = [b"alice", b"bob", b"carol", b"dave", b"eve", b"frank", b"grace"]
+    path = tmp_path / "names.txt"
+    path.write_bytes(b"\n".join(names) + b"\n")
+    hashed = []
+    md5 = cli._md5
+
+    def counting_md5(data):
+        hashed.append(data)
+        return md5(data)
+
+    monkeypatch.setattr(cli, "_md5", counting_md5)
+    monkeypatch.setenv("SHARDBENCH_THREADS", "1")
+    argv = ["compare", str(path), "--strategy", "md5", "--strategy", "md5:64,64,128",
+            "--strategy", "letter", "--level", "0", "--level", "1", "--level", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert hashed == [name + b"\n" for name in names]  # once each, not once per pair
