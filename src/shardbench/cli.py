@@ -122,7 +122,8 @@ def _parse_ids(text: str) -> range:
 # the spec's tallies: tallies[level] counts each name reaching `level` at the
 # row-major joint index linear_index() gives its placement there, and
 # tallies[k], k < level, counts each name of exactly k + 1 characters, too
-# short to reach `level`, at its own level-k index. md5 never skips a name.
+# short to reach `level`, at its own level-k index. md5 never skips a name,
+# so its shallower tallies stay empty lists.
 # The per-name placement functions stay as the reference they must match.
 
 _LETTER_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else 0 for b in range(256))
@@ -131,7 +132,9 @@ _LETTER_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else 0 for b 
 def _spec_loop(name: str, payload, level: int) -> tuple[Callable[[list[bytes]], None], list]:
     """(loop over a block of names, the dense tallies it fills) for one spec at `level`."""
     moduli = _config(name, payload).level_moduli
-    tallies = [[0] * joint_bucket_count(moduli, k) for k in range(level + 1)]
+    sizes = [joint_bucket_count(moduli, k) if name != "md5" or k == level else 0
+             for k in range(level + 1)]
+    tallies = [[0] * size for size in sizes]
     counts, short = tallies[level], tallies[0]
     depth = level + 1  # characters a name needs to reach `level`
     shallow = level + len(NAME_END)  # a name whose bytes are no more than this is too short
@@ -140,11 +143,7 @@ def _spec_loop(name: str, payload, level: int) -> tuple[Callable[[list[bytes]], 
     per_level = tuple(enumerate(moduli[:depth]))  # (k, modulus) pairs
     if name == "md5":
         md5 = _md5  # md5_digest() hashes the name with its newline too
-        if level == 0:
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    counts[md5(b).digest()[0] % m0] += 1
-        elif level == 1:
+        if level == 1:
             rows = [byte % m0 * m1 for byte in range(256)]  # lookups beat two % and a *
             cols = [byte % m1 for byte in range(256)]
 
@@ -161,11 +160,7 @@ def _spec_loop(name: str, payload, level: int) -> tuple[Callable[[list[bytes]], 
                         i = i * m + d[k] % m
                     counts[i] += 1
     elif name == "ascii-sum":
-        if level == 0:
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    counts[(sum(b) - end_sum) % m0] += 1
-        elif level == 1:
+        if level == 1:
             def loop(names: list[bytes]) -> None:
                 for b in names:
                     total = sum(b) - end_sum
@@ -189,11 +184,7 @@ def _spec_loop(name: str, payload, level: int) -> tuple[Callable[[list[bytes]], 
                     tallies[reach - 1][i] += 1
     else:
         table = _LETTER_INDEX
-        if level == 0:
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    counts[table[b[0]]] += 1
-        elif level == 1:
+        if level == 1:
             def loop(names: list[bytes]) -> None:
                 for b in names:
                     if len(b) > shallow:
@@ -233,25 +224,25 @@ def _scan_chunk(task) -> tuple[list[list[Histogram]], list[tuple[int, str]], int
     return [[Histogram(t, sum(t)) for t in tallies] for _, tallies in loops], rejects, lines
 
 
-def _levels(tallies: list[Histogram]) -> list[Histogram]:
-    """A spec's histogram at each level 0..L, from its tallies at its deepest level L.
+def _levels(tallies: list[Histogram], moduli: tuple[int, ...], lowest: int) -> dict[int, Histogram]:
+    """A spec's histograms at levels lowest..L, from its tallies at its deepest level L.
 
     Level l's joint index is level l+1's divided by level l+1's modulus, so
     each level-l bucket sums one row-major run of that many level-(l+1)
     buckets, plus the names that stop at level l. The names too short to
     reach level l are its skipped.
     """
-    deepest = tallies[-1]
+    deepest = len(tallies) - 1
     skipped = sum(t.total for t in tallies[:-1])
-    levels = [Histogram(deepest.counts, deepest.total, skipped)]
-    for tally in reversed(tallies[:-1]):
-        deeper = levels[-1].counts
-        run = len(deeper) // tally.bucket_count
-        folded = [sum(deeper[i:i + run]) for i in range(0, len(deeper), run)]
-        counts = list(map(add, folded, tally.counts))
+    levels = {deepest: Histogram(tallies[-1].counts, tallies[-1].total, skipped)}
+    for level in range(deepest - 1, lowest - 1, -1):
+        deeper, tally, run = levels[level + 1].counts, tallies[level], moduli[level + 1]
+        counts = [sum(deeper[i:i + run]) for i in range(0, len(deeper), run)]
+        if tally.counts:  # md5's are empty
+            counts = list(map(add, counts, tally.counts))
         skipped -= tally.total
-        levels.append(Histogram(counts, sum(counts), skipped))
-    return levels[::-1]
+        levels[level] = Histogram(counts, sum(counts), skipped)
+    return levels
 
 
 def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
@@ -293,14 +284,16 @@ def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
     """Histogram a corpus file once for every (name, payload, level) pair.
 
     Scans each distinct (name, payload) spec once, at its deepest level,
-    and folds its shallower levels from that. Returns the histograms, in
-    pair order, and every rejected line as (line_number, reason).
+    and folds it down to its shallowest. Returns the histograms, in pair
+    order, and every rejected line as (line_number, reason).
     """
-    deepest: dict[tuple[str, object], int] = {}
+    spans: dict[tuple[str, object], tuple[int, int]] = {}  # (shallowest, deepest) level
     for name, payload, level in pairs:
-        deepest[name, payload] = max(level, deepest.get((name, payload), level))
-    tallies, rejects = _scan_specs(path, [(*spec, level) for spec, level in deepest.items()])
-    levels = {spec: _levels(spec_tallies) for spec, spec_tallies in zip(deepest, tallies)}
+        low, high = spans.get((name, payload), (level, level))
+        spans[name, payload] = min(low, level), max(high, level)
+    tallies, rejects = _scan_specs(path, [(*spec, high) for spec, (_, high) in spans.items()])
+    levels = {spec: _levels(spec_tallies, _config(*spec).level_moduli, low)
+              for (spec, (low, _)), spec_tallies in zip(spans.items(), tallies)}
     return [levels[name, payload][level] for name, payload, level in pairs], rejects
 
 

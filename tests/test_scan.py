@@ -269,6 +269,37 @@ def test_every_level_of_a_spec_matches_the_oracle_pooled(corpus_file, data, pair
     _check_every_level(corpus_file, data, pairs, 3)
 
 
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=DEEP_FILES, pairs=st.lists(st.sampled_from(DEEP_PAIRS), min_size=1, max_size=6))
+def test_some_levels_of_a_spec_match_the_oracle(corpus_file, data, pairs):
+    _check_every_level(corpus_file, data, pairs, 1)
+
+
+def test_a_spec_is_folded_only_down_to_its_shallowest_level(tmp_path, monkeypatch):
+    path = tmp_path / "names.txt"
+    path.write_bytes(b"al\nbob\ncarol\n")
+    folded = []
+    levels = cli._levels
+
+    def spy(*args):
+        folded.append(levels(*args))
+        return folded[-1]
+
+    monkeypatch.setattr(cli, "_levels", spy)
+    monkeypatch.setenv("SHARDBENCH_THREADS", "1")
+    cli._scan(str(path), [("letter", 4, 3), ("letter", 4, 2), ("md5", (64, 64, 128), 1)])
+    assert [sorted(by_level) for by_level in folded] == [[2, 3], [1]]
+
+
+def test_md5_tallies_no_names_below_its_deepest_level(tmp_path):
+    path = tmp_path / "names.txt"
+    path.write_bytes(b"al\nbob\ncarol\n")
+    task = (str(path), 0, path.stat().st_size, [("md5", (64, 64, 128), 2)])
+    (tallies,), _, _ = cli._scan_chunk(task)
+    assert [t.bucket_count for t in tallies] == [0, 0, 64 * 64 * 128]
+    assert tallies[-1].total == 3
+
+
 def test_compare_hashes_each_name_once_per_distinct_md5_spec(tmp_path, monkeypatch, capsys):
     names = [b"alice", b"bob", b"carol", b"dave", b"eve", b"frank", b"grace"]
     path = tmp_path / "names.txt"
