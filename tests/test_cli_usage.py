@@ -1,5 +1,7 @@
 """CLI contract details: bad strategy configs are usage errors; exact output is pinned."""
 
+import json
+
 import pytest
 
 from shardbench import cli
@@ -87,3 +89,90 @@ def test_reject_report_is_pinned_past_one_write(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("".join(f"line {n}: invalid character ' ' at position 2\n"
                                   for n in range(2, 7)) + "5 lines rejected\nideal_mean=")
+
+
+# Every verb that takes --levels/--moduli, each strategy with the flag it does not take.
+WRONG_FLAG = [
+    (verb, strategy, flag)
+    for verb in ("analyze", "locate", "check-fanout", "mkdirs")
+    for strategy, flag in (("letter", "--moduli"), ("md5", "--levels"), ("ascii-sum", "--levels"))
+    if verb == "analyze" or strategy != "ascii-sum"
+]
+VERB_HEAD = {
+    "analyze": ["analyze", "{corpus}"],
+    "locate": ["locate", "frank"],
+    "check-fanout": ["check-fanout"],
+    "mkdirs": ["mkdirs", "--root", "{root}"],
+}
+
+
+@pytest.mark.parametrize("verb, strategy, flag", WRONG_FLAG)
+def test_wrong_strategy_flag_message_is_pinned(dirty_path, tmp_path, verb, strategy, flag,
+                                                capsys):
+    argv = [arg.format(corpus=dirty_path, root=tmp_path / "tree") for arg in VERB_HEAD[verb]]
+    assert main(argv + ["--strategy", strategy, flag, "3"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: {flag} does not apply to the "
+                                       f"{strategy} strategy\n")
+    assert not (tmp_path / "tree").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("letter:x", "letter spec expects an integer depth, got 'x'"),
+    ("md5:1,a", "--moduli expects comma-separated integers, got '1,a'"),
+    ("md5:300", "bad md5 config: modulus 300 outside 2..256"),
+    ("mapping", "mapping spec needs bucket_size,num_servers (e.g. mapping:50000,20)"),
+    ("mapping:1", "mapping spec needs exactly bucket_size,num_servers"),
+    ("bogus", "unknown strategy 'bogus' in spec 'bogus'"),
+])
+def test_bad_compare_spec_message_is_pinned(dirty_path, spec, message, capsys):
+    argv = ["compare", dirty_path, "--strategy", spec, "--strategy", "md5", "--ids", "1..10"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_mapping_without_ids_message_is_pinned(capsys):
+    argv = ["analyze", "--strategy", "mapping", "--bucket-size", "10", "--servers", "4"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "usage error: the mapping strategy requires --ids A..B\n")
+
+
+@pytest.mark.parametrize("argv, choices", [
+    (["analyze", "x", "--strategy", "bogus"], "'letter', 'ascii-sum', 'mapping', 'md5'"),
+    (["locate", "x", "--strategy", "bogus"], "'letter', 'md5'"),
+])
+def test_strategy_choice_order_is_pinned(argv, choices, capsys):
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (f"shardbench {argv[0]}: error: argument --strategy: "
+                                    f"invalid choice: 'bogus' (choose from {choices})")
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--strategy", "letter"], {"levels": 6}),
+    (["--strategy", "letter", "--levels", "3"], {"levels": 3}),
+    (["--strategy", "letter", "--moduli="], {"levels": 6}),
+    (["--strategy", "ascii-sum"], {"moduli": [31, 33]}),
+    (["--strategy", "ascii-sum", "--moduli="], {"moduli": [31, 33]}),
+    (["--strategy", "md5", "--moduli", "32,16"], {"moduli": [32, 16]}),
+    (["--strategy", "md5", "--moduli="], {"moduli": [64, 64, 128]}),
+    (["--strategy", "mapping", "--bucket-size", "10", "--servers", "4", "--ids", "1..100",
+      "--levels", "9", "--moduli", "x"],
+     {"bucket_size": 10, "num_servers": 4, "ids": "1..100"}),
+])
+def test_analyze_config_echo_is_pinned(dirty_path, flags, config, capsys):
+    corpus = [] if "mapping" in flags else [dirty_path]
+    assert main(["analyze", *corpus, *flags, "--no-counts"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["config"] == config
+
+
+def test_check_fanout_letter_defaults_are_pinned(capsys):
+    assert main(["check-fanout", "--strategy", "letter"]) == EXIT_OK
+    assert capsys.readouterr() == (
+        "per_level_dirs=37,37,37,37,37,37\n"
+        "dirs_under_one_top=69343957\n"
+        "total_leaf_buckets=2565726409\n"
+        "limit=64000\n"
+        "ok=true\n",
+        "",
+    )
