@@ -12,7 +12,7 @@ import stat
 import sys
 import tempfile
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .corpus import MODELS, NAME_END, CorpusSpec, generate_corpus, read_names
 from .errors import ShardbenchError
@@ -66,18 +66,7 @@ class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 2."""
 
 
-# --- strategy plumbing -----------------------------------------------------
-
-_CONFIGS = {"letter": LetterConfig, "ascii-sum": AsciiSumConfig, "md5": Md5Config}
-
-
-def _config(name: str, payload) -> LetterConfig | AsciiSumConfig | Md5Config:
-    """Rebuild a strategy config from its picklable payload; bad values are usage errors."""
-    try:
-        return _CONFIGS[name](payload)
-    except ValueError as exc:
-        raise UsageError(f"bad {name} config: {exc}") from None
-
+# --- strategy table --------------------------------------------------------
 
 def _parse_moduli(text: str) -> tuple[int, ...]:
     try:
@@ -86,23 +75,75 @@ def _parse_moduli(text: str) -> tuple[int, ...]:
         raise UsageError(f"--moduli expects comma-separated integers, got {text!r}") from None
 
 
-def _username_strategy(args) -> tuple[str, object, dict]:
-    """(name, payload, config echo) for the username-keyed strategies."""
-    name = args.strategy
-    if name == "letter":
-        if getattr(args, "moduli", None):
-            raise UsageError("--moduli does not apply to the letter strategy")
-        levels = args.levels if args.levels is not None else 6
-        _config(name, levels)
-        return name, levels, {"levels": levels}
-    if name in ("ascii-sum", "md5"):
-        if getattr(args, "levels", None) is not None:
-            raise UsageError(f"--levels does not apply to the {name} strategy")
-        default = (31, 33) if name == "ascii-sum" else (64, 64, 128)
-        moduli = _parse_moduli(args.moduli) if args.moduli else default
-        _config(name, moduli)
-        return name, moduli, {"moduli": list(moduli)}
-    raise UsageError(f"strategy {name!r} is not keyed on usernames here")
+def _parse_depth(text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"letter spec expects an integer depth, got {text!r}") from None
+
+
+def _parse_mapping(text: str) -> tuple[int, ...]:
+    if not text:
+        raise UsageError("mapping spec needs bucket_size,num_servers (e.g. mapping:50000,20)")
+    parts = _parse_moduli(text)
+    if len(parts) != 2:
+        raise UsageError("mapping spec needs exactly bucket_size,num_servers")
+    return parts
+
+
+class _Strategy(NamedTuple):
+    """What the verbs know of one strategy; each reads it here, not from its name.
+
+    A strategy's payload is what its config is built from: an int for
+    letter, a tuple otherwise. `default` is the payload its config class
+    defaults to. `flag` is the --levels/--moduli flag that carries the
+    payload; it is None for mapping, which is keyed by counter ID, not by
+    username. `parse` turns spec or flag text into a payload. `place` and
+    `path` give a name's placement and storage path, for the strategies
+    with a directory layout.
+    """
+
+    name: str
+    config: Callable
+    default: object
+    flag: str | None
+    parse: Callable
+    place: Callable | None = None
+    path: Callable | None = None
+
+
+_STRATEGIES = {strategy.name: strategy for strategy in (
+    _Strategy("letter", LetterConfig, LetterConfig().levels, "levels", _parse_depth,
+              letter_placement, lambda u, cfg, root: letter_path(u, root, cfg.levels)),
+    _Strategy("ascii-sum", AsciiSumConfig, AsciiSumConfig().level_moduli, "moduli", _parse_moduli),
+    _Strategy("mapping", lambda parts: MappingConfig(*parts), None, None, _parse_mapping),
+    _Strategy("md5", Md5Config, Md5Config().level_moduli, "moduli", _parse_moduli,
+              md5_placement, md5_path),
+)}
+
+
+def _config(name: str, payload):
+    """Rebuild a strategy config from its picklable payload; bad values are usage errors."""
+    try:
+        return _STRATEGIES[name].config(payload)
+    except ValueError as exc:
+        raise UsageError(f"bad {name} config: {exc}") from None
+
+
+def _payload(strategy: _Strategy, text):
+    """The payload spec or flag text gives; no text gives the config class's defaults."""
+    if text in (None, "") and strategy.default is not None:
+        return strategy.default
+    return strategy.parse(text)
+
+
+def _flag_payload(args) -> tuple[_Strategy, object]:
+    """--strategy's record and the payload its flag gives; the other flag is an error."""
+    strategy = _STRATEGIES[args.strategy]
+    for flag in ("levels", "moduli"):
+        if flag != strategy.flag and getattr(args, flag) not in (None, ""):
+            raise UsageError(f"--{flag} does not apply to the {strategy.name} strategy")
+    return strategy, _payload(strategy, getattr(args, strategy.flag))
 
 
 def _parse_ids(text: str) -> range:
@@ -261,23 +302,26 @@ def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _worker_count() -> int:
+def _threads_setting() -> int:
+    """The workers SHARDBENCH_THREADS asks for, capped per CPU; 0 if unset or not positive."""
     raw = os.environ.get("SHARDBENCH_THREADS")
-    cpus = os.cpu_count() or 1
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            print(f"warning: ignoring non-integer SHARDBENCH_THREADS={raw!r}", file=sys.stderr)
-            value = 0
-        cap = _WORKERS_PER_CPU * cpus
-        if value > cap:
-            print(f"warning: capping SHARDBENCH_THREADS={value} at {cap} "
-                  f"({_WORKERS_PER_CPU} per CPU)", file=sys.stderr)
-            value = cap
-        if value > 0:
-            return value
-    return min(cpus, _MAX_AUTO_WORKERS)
+    if raw is None:
+        return 0
+    try:
+        value = int(raw)
+    except ValueError:
+        print(f"warning: ignoring non-integer SHARDBENCH_THREADS={raw!r}", file=sys.stderr)
+        return 0
+    cap = _WORKERS_PER_CPU * (os.cpu_count() or 1)
+    if value > cap:
+        print(f"warning: capping SHARDBENCH_THREADS={value} at {cap} "
+              f"({_WORKERS_PER_CPU} per CPU)", file=sys.stderr)
+        return cap
+    return max(value, 0)
+
+
+def _worker_count() -> int:
+    return _threads_setting() or min(os.cpu_count() or 1, _MAX_AUTO_WORKERS)
 
 
 def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
@@ -303,10 +347,10 @@ def _scan_specs(path: str, specs) -> tuple[list[list[Histogram]], list[tuple[int
     Splits the file across processes when worthwhile and merges the
     per-chunk tallies pairwise in input order.
     """
-    workers = _worker_count()
-    explicit = os.environ.get("SHARDBENCH_THREADS") not in (None, "", "0")
-    if not explicit and os.path.getsize(path) < _PARALLEL_MIN_BYTES:
-        workers = 1
+    if os.path.getsize(path) < _PARALLEL_MIN_BYTES:
+        workers = _threads_setting() or 1  # serial unless the setting asks for workers
+    else:
+        workers = _worker_count()
     tasks = [(path, start, end, specs) for start, end in _plan_chunks(path, workers)]
     if len(tasks) == 1:
         tallies, rejects, _ = _scan_chunk(tasks[0])
@@ -441,11 +485,9 @@ def _emit_analysis(
         writer.writerow(["bucket", "count"])
         for bucket, count in enumerate(histogram.counts):
             writer.writerow([bucket, count])
-    elif fmt == "plot-data":
+    else:  # plot-data
         for bucket, count in enumerate(histogram.counts):
             out.write(f"{bucket} {count}\n")
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
 
 
 def _stats_line(stats: DistributionStats, skipped: int) -> str:
@@ -477,7 +519,7 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_analyze(args) -> int:
     include_counts = not args.no_counts
-    if args.strategy == "mapping":
+    if _STRATEGIES[args.strategy].flag is None:  # keyed by counter ID, not by username
         if args.ids is None:
             raise UsageError("the mapping strategy requires --ids A..B")
         if args.level != 0:
@@ -487,65 +529,48 @@ def _cmd_analyze(args) -> int:
         cfg = MappingConfig(args.bucket_size, args.servers)
         histogram = build_mapping_histogram(_parse_ids(args.ids), cfg)
         echo = {"bucket_size": cfg.bucket_size, "num_servers": cfg.num_servers, "ids": args.ids}
-        strategy = "mapping"
     else:
         if args.ids is not None or args.bucket_size is not None or args.servers is not None:
             raise UsageError("--ids/--bucket-size/--servers only apply to the mapping strategy")
         if args.corpus is None:
             raise UsageError(f"the {args.strategy} strategy requires a corpus file")
-        strategy, payload, echo = _username_strategy(args)
-        moduli = _config(strategy, payload).level_moduli
+        strategy, payload = _flag_payload(args)
+        moduli = _config(args.strategy, payload).level_moduli
         if not 0 <= args.level < len(moduli):
             raise UsageError(f"level {args.level} outside 0..{len(moduli) - 1}")
-        histogram = _scan_corpus(args.corpus, strategy, payload, args.level, True)
+        echo = {strategy.flag: list(payload) if isinstance(payload, tuple) else payload}
+        histogram = _scan_corpus(args.corpus, args.strategy, payload, args.level, True)
     if histogram.total == 0:
         print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
         return EXIT_EMPTY
     stats = compute_stats(histogram)
     with _output(args.output) as out:
-        _emit_analysis(out, args.format, strategy, echo, args.level, histogram, stats, include_counts)
+        _emit_analysis(out, args.format, args.strategy, echo, args.level, histogram, stats,
+                       include_counts)
     print(_stats_line(stats, histogram.skipped), file=sys.stderr)
     return EXIT_OK
 
 
-def _parse_strategy_spec(spec: str) -> tuple[str, object, dict]:
-    name, _, config = spec.partition(":")
-    if name == "letter":
-        try:
-            levels = int(config) if config else 6
-        except ValueError:
-            raise UsageError(f"letter spec expects an integer depth, got {config!r}") from None
-        _config(name, levels)
-        return name, levels, {"levels": levels}
-    if name in ("ascii-sum", "md5"):
-        default = (31, 33) if name == "ascii-sum" else (64, 64, 128)
-        moduli = _parse_moduli(config) if config else default
-        _config(name, moduli)
-        return name, moduli, {"moduli": list(moduli)}
-    if name == "mapping":
-        if not config:
-            raise UsageError("mapping spec needs bucket_size,num_servers (e.g. mapping:50000,20)")
-        parts = _parse_moduli(config)
-        if len(parts) != 2:
-            raise UsageError("mapping spec needs exactly bucket_size,num_servers")
-        try:
-            MappingConfig(*parts)
-        except ValueError as exc:
-            raise UsageError(f"bad mapping config: {exc}") from None
-        return name, parts, {"bucket_size": parts[0], "num_servers": parts[1]}
-    raise UsageError(f"unknown strategy {name!r} in spec {spec!r}")
+def _parse_strategy_spec(spec: str) -> tuple[_Strategy, object]:
+    name, _, text = spec.partition(":")
+    strategy = _STRATEGIES.get(name)
+    if strategy is None:
+        raise UsageError(f"unknown strategy {name!r} in spec {spec!r}")
+    payload = _payload(strategy, text)
+    _config(name, payload)
+    return strategy, payload
 
 
 def _compare_steps(specs, levels: list[int], ids: str | None):
-    """compare's (level, name, payload, note) steps in report order; a note replaces a row.
+    """compare's (level, strategy, payload, note) steps in report order; a note replaces a row.
 
     A step whose row would fail raises here, so a caller that collects the
     steps before scanning can replay everything up to the failure first.
     """
     for level in levels:
-        for name, payload, _ in specs:
+        for strategy, payload in specs:
             note = None
-            if name == "mapping":
+            if strategy.flag is None:
                 if ids is None:
                     raise UsageError("mapping strategies in compare require --ids A..B")
                 if level != 0:
@@ -553,12 +578,12 @@ def _compare_steps(specs, levels: list[int], ids: str | None):
                 else:
                     _parse_ids(ids)
             else:
-                moduli = _config(name, payload).level_moduli
+                moduli = _config(strategy.name, payload).level_moduli
                 if level >= len(moduli):
-                    note = f"skipping {name} at level {level} (depth {len(moduli)})"
+                    note = f"skipping {strategy.name} at level {level} (depth {len(moduli)})"
                 else:
                     joint_bucket_count(moduli, level)
-            yield level, name, payload, note
+            yield level, strategy, payload, note
 
 
 def _cmd_compare(args) -> int:
@@ -573,24 +598,25 @@ def _cmd_compare(args) -> int:
             steps.append(step)
     except (UsageError, ShardbenchError) as exc:
         error = exc
-    scans = [(name, payload, level) for level, name, payload, note in steps
-             if note is None and name != "mapping"]
+    scans = [(strategy.name, payload, level) for level, strategy, payload, note in steps
+             if note is None and strategy.flag is not None]
     scanned = None
     rows = []
-    for level, name, payload, note in steps:
+    for level, strategy, payload, note in steps:
         if note is not None:
             print(f"note: {note}", file=sys.stderr)
             continue
-        if name == "mapping":
-            histogram = build_mapping_histogram(_parse_ids(args.ids), MappingConfig(*payload))
-            label = f"mapping[{payload[0]},{payload[1]}]"
+        if strategy.flag is None:
+            cfg = _config(strategy.name, payload)
+            histogram = build_mapping_histogram(_parse_ids(args.ids), cfg)
+            label = f"{strategy.name}[{payload[0]},{payload[1]}]"
         else:
             if scanned is None:  # one pass over the corpus serves every scanned step
                 histograms, rejects = _scan(args.corpus, scans)
                 _report_rejects(rejects)
                 scanned = iter(histograms)
             histogram = next(scanned)
-            label = name
+            label = strategy.name
         if histogram.total == 0:
             print(f"note: skipping {label} at level {level} (nothing placed)", file=sys.stderr)
             continue
@@ -619,14 +645,12 @@ def _emit_compare(out, fmt: str, rows) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(formatted)
-    elif fmt == "text":
+    else:  # text
         widths = [max(len(header[i]), *(len(row[i]) for row in formatted))
                   for i in range(len(header))]
         out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
         for row in formatted:
             out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
 
 
 def _cmd_locate(args) -> int:
@@ -635,37 +659,19 @@ def _cmd_locate(args) -> int:
     except ShardbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.strategy == "letter":
-        if args.moduli:
-            raise UsageError("--moduli does not apply to the letter strategy")
-        levels = args.levels if args.levels is not None else 6
-        placement = letter_placement(name, _config("letter", levels))
-        path = letter_path(name, args.root, levels)
-    elif args.strategy == "md5":
-        if args.levels is not None:
-            raise UsageError("--levels does not apply to the md5 strategy")
-        moduli = _parse_moduli(args.moduli) if args.moduli else (64, 64, 128)
-        cfg = _config("md5", moduli)
-        placement = md5_placement(name, cfg)
-        path = md5_path(name, cfg, args.root)
-    else:
-        raise UsageError("locate supports --strategy letter or md5 (the path-producing schemes)")
-    print(" ".join(str(bucket) for bucket, _ in placement.levels))
-    print(path.render())
+    strategy, payload = _flag_payload(args)
+    cfg = _config(args.strategy, payload)
+    print(" ".join(str(bucket) for bucket, _ in strategy.place(name, cfg).levels))
+    print(strategy.path(name, cfg, args.root).render())
     return EXIT_OK
 
 
 def _fanout_moduli(args) -> tuple[int, ...]:
     """Moduli to vet: raw --moduli are allowed (beyond Md5Config's 256 cap)."""
-    if args.strategy == "letter":
-        if args.moduli:
-            raise UsageError("--moduli does not apply to the letter strategy")
-        return _config("letter", args.levels if args.levels is not None else 6).level_moduli
-    if args.levels is not None:
-        raise UsageError("--levels does not apply to the md5 strategy")
-    if args.moduli:
-        return _parse_moduli(args.moduli)
-    return Md5Config().level_moduli
+    strategy, payload = _flag_payload(args)
+    if strategy.flag == "moduli":
+        return payload
+    return _config(args.strategy, payload).level_moduli
 
 
 def _cmd_check_fanout(args) -> int:
@@ -711,6 +717,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Shard-placement strategies and distribution-quality benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    laid_out = [name for name, s in _STRATEGIES.items() if s.path]  # with directory layouts
 
     gen = sub.add_parser("gen-corpus", help="write a synthetic username corpus")
     gen.add_argument("--model", required=True,
@@ -725,7 +732,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="histogram one strategy over a corpus")
     analyze.add_argument("corpus", nargs="?",
                          help="username file; unused by the ID-keyed mapping strategy")
-    _add_strategy_flags(analyze, ("letter", "ascii-sum", "mapping", "md5"))
+    _add_strategy_flags(analyze, _STRATEGIES)
     analyze.add_argument("--level", type=int, default=0)
     analyze.add_argument("--format", default="json", choices=["json", "csv", "plot-data"])
     analyze.add_argument("--bucket-size", type=_positive_int)
@@ -749,17 +756,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     locate = sub.add_parser("locate", help="print placement and storage path for one name")
     locate.add_argument("name")
-    _add_strategy_flags(locate, ("letter", "md5"))
+    _add_strategy_flags(locate, laid_out)
     locate.add_argument("--root", default="")
     locate.set_defaults(handler=_cmd_locate)
 
     fanout = sub.add_parser("check-fanout", help="validate directory fan-out limits")
-    _add_strategy_flags(fanout, ("letter", "md5"))
+    _add_strategy_flags(fanout, laid_out)
     fanout.add_argument("--limit", type=_positive_int, default=DEFAULT_FANOUT_LIMIT)
     fanout.set_defaults(handler=_cmd_check_fanout)
 
     mkdirs = sub.add_parser("mkdirs", help="materialize an empty bucket directory skeleton")
-    _add_strategy_flags(mkdirs, ("letter", "md5"))
+    _add_strategy_flags(mkdirs, laid_out)
     mkdirs.add_argument("--root", required=True)
     mkdirs.add_argument("--limit", type=_positive_int, default=DEFAULT_FANOUT_LIMIT)
     mkdirs.set_defaults(handler=_cmd_mkdirs)

@@ -318,3 +318,22 @@ def test_compare_hashes_each_name_once_per_distinct_md5_spec(tmp_path, monkeypat
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
     assert hashed == [name + b"\n" for name in names]  # once each, not once per pair
+
+
+@pytest.mark.parametrize("threads", ["abc", "-1", ""])
+def test_ignored_threads_setting_acts_as_unset(tmp_path, monkeypatch, capsys, threads):
+    # A small file scans serially unless SHARDBENCH_THREADS asks for workers;
+    # a value it ignores must not ask.
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    path = tmp_path / "names.txt"
+    path.write_bytes(b"alice\nbob\ncarol\ndave\n")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("SHARDBENCH_THREADS", threads)
+    (histogram,), rejects = cli._scan(str(path), [("md5", (64, 64, 128), 0)])
+    assert (histogram.total, rejects) == (4, [])
+    capsys.readouterr()

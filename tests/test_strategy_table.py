@@ -1,0 +1,46 @@
+"""Design invariant: the CLI reads its strategies from one table.
+
+Only the scan kernel's loop source, `_spec_loop`, may still branch on a
+strategy's name; every other function takes what it needs from the table.
+"""
+
+import ast
+from pathlib import Path
+
+from shardbench import cli
+
+NAMES = {"letter", "ascii-sum", "mapping", "md5"}
+ALLOWED = {"_spec_loop"}
+
+
+def _names_in(node: ast.expr) -> bool:
+    if isinstance(node, ast.Constant):
+        return node.value in NAMES
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_in(element) for element in node.elts)
+    return False
+
+
+def _name_switches(source: str) -> list[str]:
+    """`function:line` of each comparison against a strategy-name literal."""
+    sites = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if function.name in ALLOWED:
+            continue
+        for node in ast.walk(function):
+            operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if any(map(_names_in, operands)):
+                sites.append(f"{function.name}:{node.lineno}")
+    return sorted(set(sites))
+
+
+def test_only_the_kernel_switches_on_strategy_names():
+    assert _name_switches(Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_switch():
+    source = ("def f(name):\n    if name in ('md5', 'x'):\n        pass\n"
+              "    return 'letter' != name\n")
+    assert _name_switches(source) == ["f:2", "f:4"]
