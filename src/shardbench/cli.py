@@ -303,7 +303,7 @@ def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
 
 
 def _threads_setting() -> int:
-    """The workers SHARDBENCH_THREADS asks for, capped per CPU; 0 if unset or not positive."""
+    """The workers SHARDBENCH_THREADS asks for, capped per CPU; 0 unless a positive integer."""
     raw = os.environ.get("SHARDBENCH_THREADS")
     if raw is None:
         return 0
