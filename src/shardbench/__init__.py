@@ -32,7 +32,6 @@ from .model import (
     Placement,
     Username,
     char_index,
-    index_to_char,
     normalize_username,
 )
 from .stats import (
@@ -45,19 +44,16 @@ from .stats import (
 )
 from .strategies import (
     AsciiSumConfig,
-    HexDigest,
     LetterConfig,
     MappingConfig,
     Md5Config,
     ascii_sum,
     ascii_sum_placement,
     counter_placement,
-    hex_pair_value,
     letter_placement,
     md5_digest,
     md5_hex,
     md5_placement,
-    placement_from_digest,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +67,6 @@ __all__ = [
     "EmptyHistogram",
     "EmptyName",
     "FanoutReport",
-    "HexDigest",
     "Histogram",
     "InvalidCharacter",
     "LetterConfig",
@@ -97,8 +92,6 @@ __all__ = [
     "distinct_capacity",
     "fanout_report",
     "generate_corpus",
-    "hex_pair_value",
-    "index_to_char",
     "letter_path",
     "letter_placement",
     "load_corpus",
@@ -109,5 +102,4 @@ __all__ = [
     "md5_placement",
     "merge_histograms",
     "normalize_username",
-    "placement_from_digest",
 ]

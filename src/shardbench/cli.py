@@ -18,6 +18,7 @@ from .corpus import MODELS, NAME_END, CorpusSpec, generate_corpus, read_names
 from .errors import ShardbenchError
 from .layout import (
     DEFAULT_FANOUT_LIMIT,
+    FanoutReport,
     fanout_report,
     letter_path,
     materialize_tree,
@@ -27,6 +28,7 @@ from .model import ALPHABET, normalize_username
 # build_histogram is the per-name oracle the scan kernel must match; it stays
 # bound here so perfbench/spans.py traces the same names in every module.
 from .stats import (  # noqa: F401
+    DENSE_BUCKET_CAP,
     DistributionStats,
     Histogram,
     build_histogram,
@@ -40,6 +42,7 @@ from .strategies import (
     LetterConfig,
     MappingConfig,
     Md5Config,
+    _md5,
     letter_placement,
     md5_placement,
 )
@@ -55,11 +58,6 @@ _MAX_AUTO_WORKERS = 8
 _WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
 _REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
 _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
-
-try:  # CPython's built-in MD5 skips OpenSSL's per-call set-up
-    from _md5 import md5 as _md5
-except ImportError:
-    from hashlib import md5 as _md5
 
 
 class UsageError(Exception):
@@ -666,16 +664,19 @@ def _cmd_locate(args) -> int:
     return EXIT_OK
 
 
-def _fanout_moduli(args) -> tuple[int, ...]:
-    """Moduli to vet: raw --moduli are allowed (beyond Md5Config's 256 cap)."""
+def _fanout(args) -> FanoutReport:
+    """--strategy's layout vetted: raw --moduli are allowed (beyond Md5Config's 256 cap)."""
     strategy, payload = _flag_payload(args)
-    if strategy.flag == "moduli":
-        return payload
-    return _config(args.strategy, payload).level_moduli
+    if strategy.flag != "moduli":
+        payload = _config(args.strategy, payload).level_moduli
+    try:
+        return fanout_report(payload, args.limit)
+    except ValueError as exc:  # a modulus below 1
+        raise UsageError(f"bad {strategy.name} config: {exc}") from None
 
 
 def _cmd_check_fanout(args) -> int:
-    report = fanout_report(_fanout_moduli(args), args.limit)
+    report = _fanout(args)
     print("per_level_dirs=" + ",".join(str(m) for m in report.per_level_dirs))
     print(f"dirs_under_one_top={report.dirs_under_one_top}")
     print(f"total_leaf_buckets={report.total_leaf_buckets}")
@@ -685,13 +686,16 @@ def _cmd_check_fanout(args) -> int:
 
 
 def _cmd_mkdirs(args) -> int:
-    moduli = _fanout_moduli(args)
-    report = fanout_report(moduli, args.limit)
+    report = _fanout(args)
     if not report.ok:
         print(f"error: fan-out check failed (limit {report.limit}); refusing to create",
               file=sys.stderr)
         return EXIT_LIMIT
-    created = materialize_tree(args.root, moduli)
+    if report.total_leaf_buckets > DENSE_BUCKET_CAP:
+        print(f"error: {report.total_leaf_buckets} leaf directories exceed the cap of "
+              f"{DENSE_BUCKET_CAP}; refusing to create", file=sys.stderr)
+        return EXIT_LIMIT
+    created = materialize_tree(args.root, report.per_level_dirs)
     print(f"created {created} directories under {args.root}", file=sys.stderr)
     return EXIT_OK
 

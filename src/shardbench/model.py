@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .errors import EmptyName, InvalidCharacter, TooLong
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz_"
-ALPHABET_SIZE = len(ALPHABET)  # 37
 MAX_USERNAME_LENGTH = 64
 
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
@@ -65,13 +64,6 @@ def char_index(c: str) -> int:
         raise InvalidCharacter(c, 0) from None
 
 
-def index_to_char(index: int) -> str:
-    """Inverse of char_index; exists for testing, not part of the placement API."""
-    if not 0 <= index < ALPHABET_SIZE:
-        raise ValueError(f"index {index} outside 0..{ALPHABET_SIZE - 1}")
-    return ALPHABET[index]
-
-
 @dataclass(frozen=True, slots=True)
 class Placement:
     """Per-level bucket assignments: one (bucket_index, modulus) pair per level."""
@@ -88,9 +80,3 @@ class Placement:
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def bucket(self, level: int) -> int:
-        return self.levels[level][0]
-
-    def modulus(self, level: int) -> int:
-        return self.levels[level][1]

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .errors import NothingToSum
 from .model import Placement, Username, char_index
 
-_HEX_CHARS = set("0123456789abcdef")
+try:  # CPython's built-in MD5 skips OpenSSL's per-call set-up
+    from _md5 import md5 as _md5
+except ImportError:
+    from hashlib import md5 as _md5
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,19 +76,6 @@ class Md5Config:
         object.__setattr__(self, "level_moduli", tuple(self.level_moduli))
 
 
-class HexDigest(str):
-    """Exactly 32 lowercase hexadecimal characters."""
-
-    __slots__ = ()
-
-    def __new__(cls, hex_chars: str) -> "HexDigest":
-        if len(hex_chars) != 32:
-            raise ValueError(f"digest must be 32 hex characters, got {len(hex_chars)}")
-        if not set(hex_chars) <= _HEX_CHARS:
-            raise ValueError("digest must be lowercase hexadecimal")
-        return super().__new__(cls, hex_chars)
-
-
 def letter_placement(u: Username, cfg: LetterConfig = LetterConfig()) -> Placement:
     """Bucket by successive characters; depth truncates to the name length."""
     depth = min(cfg.levels, len(u))
@@ -127,37 +116,25 @@ def counter_placement(member_id: int, cfg: MappingConfig) -> tuple[int, int]:
     return bucket, bucket % cfg.num_servers
 
 
-def md5_digest(u: Username) -> HexDigest:
+def md5_digest(u: Username) -> str:
     """MD5 of the newline-terminated name, as 32 lowercase hex characters.
 
     The trailing newline matches `echo name | md5sum` output, the form the
     worked placement examples are pinned to; md5_hex() digests raw bytes.
     """
-    return HexDigest(hashlib.md5(u.encode("ascii") + b"\n").hexdigest())
+    return _md5(u.encode("ascii") + b"\n").hexdigest()
 
 
-def md5_hex(data: bytes) -> HexDigest:
+def md5_hex(data: bytes) -> str:
     """The digest core: MD5 of exactly the given bytes."""
-    return HexDigest(hashlib.md5(data).hexdigest())
-
-
-def hex_pair_value(d: HexDigest, pair_index: int) -> int:
-    """Interpret hex characters at positions (2k, 2k+1) as one 0..255 integer."""
-    if not 0 <= pair_index <= 15:
-        raise ValueError(f"pair_index {pair_index} outside 0..15")
-    return int(d[2 * pair_index : 2 * pair_index + 2], 16)
-
-
-def placement_from_digest(d: HexDigest, cfg: Md5Config) -> Placement:
-    """Bucket each configured level by its hex pair mod the level modulus."""
-    return Placement(
-        tuple(
-            (hex_pair_value(d, k) % m, m)
-            for k, m in enumerate(cfg.level_moduli)
-        )
-    )
+    return _md5(data).hexdigest()
 
 
 def md5_placement(u: Username, cfg: Md5Config = Md5Config()) -> Placement:
-    """Digest the name and bucket each level by its hex pair mod the modulus."""
-    return placement_from_digest(md5_digest(u), cfg)
+    """Bucket level k by digest byte k mod the level's modulus.
+
+    Digest byte k is the hex pair at positions (2k, 2k+1) of md5_digest(u),
+    read as one 0..255 integer.
+    """
+    digest = _md5(u.encode("ascii") + b"\n").digest()
+    return Placement(tuple((digest[k] % m, m) for k, m in enumerate(cfg.level_moduli)))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from shardbench import cli
-from shardbench.cli import EXIT_OK, EXIT_USAGE, main
+from shardbench.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 
 # Every reject class, Unicode whitespace padding, CRLF, a blank line and no
 # trailing newline; ascii-sum:31 has depth 1, so level 1 skips it with a note.
@@ -176,3 +176,44 @@ def test_check_fanout_letter_defaults_are_pinned(capsys):
         "ok=true\n",
         "",
     )
+
+
+@pytest.mark.parametrize("moduli", ["0", "5,-1"])
+@pytest.mark.parametrize("verb", [["check-fanout"], ["mkdirs", "--root", "{root}"]],
+                         ids=["check-fanout", "mkdirs"])
+def test_bad_raw_moduli_message_is_pinned(tmp_path, verb, moduli, capsys):
+    root = tmp_path / "tree"
+    argv = [arg.format(root=root) for arg in verb] + ["--strategy", "md5", "--moduli", moduli]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "usage error: bad md5 config: moduli must be a non-empty list of positive integers\n")
+    assert not root.exists()
+
+
+def _refuse_to_build(root, moduli):
+    raise AssertionError(f"mkdirs tried to build {moduli}")
+
+
+@pytest.mark.parametrize("flags, leaves", [
+    (["--strategy", "letter"], 2565726409),
+    (["--strategy", "letter", "--levels", "5"], 69343957),
+    (["--strategy", "md5", "--moduli", "128,128,129"], 2113536),
+])
+def test_mkdirs_refuses_more_leaves_than_the_cap(tmp_path, monkeypatch, flags, leaves, capsys):
+    monkeypatch.setattr(cli, "materialize_tree", _refuse_to_build)
+    assert main(["mkdirs", "--root", str(tmp_path / "tree"), *flags]) == EXIT_LIMIT
+    assert capsys.readouterr() == (
+        "", f"error: {leaves} leaf directories exceed the cap of 2097152; refusing to create\n")
+    assert not (tmp_path / "tree").exists()
+
+
+@pytest.mark.parametrize("flags, moduli", [
+    (["--strategy", "md5"], (64, 64, 128)),
+    (["--strategy", "letter", "--levels", "4"], (37, 37, 37, 37)),
+    (["--strategy", "md5", "--moduli", "128,128,128"], (128, 128, 128)),
+])
+def test_mkdirs_builds_layouts_up_to_the_cap(tmp_path, monkeypatch, flags, moduli, capsys):
+    built = []
+    monkeypatch.setattr(cli, "materialize_tree", lambda root, m: built.append(tuple(m)) or 0)
+    assert main(["mkdirs", "--root", str(tmp_path), *flags]) == EXIT_OK
+    assert built == [moduli]

@@ -10,7 +10,6 @@ from shardbench.model import (
     Placement,
     Username,
     char_index,
-    index_to_char,
     normalize_username,
 )
 
@@ -39,14 +38,7 @@ def test_char_index_is_strictly_monotone_and_injective():
 
 def test_char_index_round_trip():
     for c in ALPHABET:
-        assert index_to_char(char_index(c)) == c
-
-
-def test_index_to_char_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        index_to_char(37)
-    with pytest.raises(ValueError):
-        index_to_char(-1)
+        assert ALPHABET[char_index(c)] == c
 
 
 def test_char_index_rejects_unknown():
@@ -126,8 +118,8 @@ def test_placement_validates_levels():
 def test_placement_accessors():
     p = Placement(((3, 10), (7, 20)))
     assert p.depth == 2
-    assert p.bucket(0) == 3
-    assert p.modulus(1) == 20
+    assert p.levels[0][0] == 3
+    assert p.levels[1][1] == 20
 
 
 def _walk(value):

@@ -9,17 +9,15 @@ from shardbench.errors import NothingToSum
 from shardbench.model import ALPHABET, Username
 from shardbench.strategies import (
     AsciiSumConfig,
-    HexDigest,
     LetterConfig,
     MappingConfig,
     Md5Config,
     ascii_sum,
     ascii_sum_placement,
     counter_placement,
-    hex_pair_value,
     letter_placement,
+    md5_digest,
     md5_placement,
-    placement_from_digest,
 )
 
 usernames = st.text(alphabet=ALPHABET, min_size=1, max_size=64).map(Username)
@@ -177,22 +175,10 @@ def test_counter_load_gap_hits_maximum_at_wrap_boundaries(bucket_size, servers, 
 
 # --- md5 -----------------------------------------------------------------------
 
-PINNED_DIGEST = HexDigest("d268c8fe7f154537c2c9ed60a0b8f2fd")
-
-
-def test_hex_pair_values_of_pinned_digest():
-    assert hex_pair_value(PINNED_DIGEST, 0) == 210
-    assert hex_pair_value(PINNED_DIGEST, 1) == 104
-    assert hex_pair_value(PINNED_DIGEST, 2) == 200
-
-
-def test_hex_pair_value_zero():
-    assert hex_pair_value(HexDigest("0" * 32), 0) == 0
-
-
-def test_hex_pair_value_rejects_bad_index():
-    with pytest.raises(ValueError):
-        hex_pair_value(PINNED_DIGEST, 16)
+def test_md5_placement_of_frank_reads_its_digest_bytes():
+    # md5("frank\n") is d268c8fe...: hex pairs d2, 68, c8 are 210, 104, 200.
+    got = md5_placement(Username("frank"), Md5Config((256, 256, 256)))
+    assert got.levels == ((210, 256), (104, 256), (200, 256))
 
 
 def test_md5_placement_frank_default():
@@ -221,15 +207,12 @@ def test_md5_config_bounds():
         Md5Config((64,) * 17)
 
 
-hex_digests = st.text(alphabet="0123456789abcdef", min_size=32, max_size=32).map(HexDigest)
-
-
-@given(hex_digests, st.text(alphabet="0123456789abcdef", min_size=26, max_size=26))
-def test_md5_placement_ignores_trailing_digest_positions(digest, tail):
-    # Only hex positions 0..5 feed a three-level placement.
-    cfg = Md5Config((64, 64, 128))
-    altered = HexDigest(digest[:6] + tail)
-    assert placement_from_digest(digest, cfg) == placement_from_digest(altered, cfg)
+@given(usernames, st.lists(st.integers(2, 256), min_size=1, max_size=16))
+def test_md5_placement_is_the_hex_pair_mod_the_modulus(name, moduli):
+    # The paper's rule: level k takes hex characters (2k, 2k+1) of the digest.
+    digest = md5_digest(name)
+    want = tuple((int(digest[2 * k:2 * k + 2], 16) % m, m) for k, m in enumerate(moduli))
+    assert md5_placement(name, Md5Config(tuple(moduli))).levels == want
 
 
 @given(usernames)
@@ -240,10 +223,3 @@ def test_md5_placement_deterministic_and_in_range(name):
     for (bucket, modulus), want in zip(first.levels, (64, 64, 128)):
         assert modulus == want
         assert 0 <= bucket < modulus
-
-
-def test_hex_digest_validation():
-    with pytest.raises(ValueError):
-        HexDigest("abc")
-    with pytest.raises(ValueError):
-        HexDigest("G" * 32)

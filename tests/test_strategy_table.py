@@ -1,7 +1,9 @@
-"""Design invariant: the CLI reads its strategies from one table.
+"""Design invariants: the CLI reads its strategies from one table, and
+one module picks the MD5.
 
 Only the scan kernel's loop source, `_spec_loop`, may still branch on a
 strategy's name; every other function takes what it needs from the table.
+Only `strategies.py` imports an MD5 module; the rest take its `_md5`.
 """
 
 import ast
@@ -9,6 +11,8 @@ from pathlib import Path
 
 from shardbench import cli
 
+PACKAGE = Path(cli.__file__).parent
+MD5_MODULES = {"hashlib", "_md5"}
 NAMES = {"letter", "ascii-sum", "mapping", "md5"}
 ALLOWED = {"_spec_loop"}
 
@@ -44,3 +48,29 @@ def test_the_check_sees_a_switch():
     source = ("def f(name):\n    if name in ('md5', 'x'):\n        pass\n"
               "    return 'letter' != name\n")
     assert _name_switches(source) == ["f:2", "f:4"]
+
+
+def _md5_imports(source: str) -> list[int]:
+    """Lines that import the module `hashlib` or `_md5`, or a name from one of them."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = {node.module}
+        else:
+            continue
+        if modules & MD5_MODULES:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_strategies_imports_an_md5_module():
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if _md5_imports(path.read_text(encoding="utf-8"))]
+    assert importers == ["strategies.py"]
+
+
+def test_the_md5_check_sees_an_import():
+    source = "import os, hashlib\nfrom _md5 import md5\nfrom .strategies import _md5\n"
+    assert _md5_imports(source) == [1, 2]
