@@ -665,7 +665,7 @@ def _cmd_locate(args) -> int:
 
 
 def _fanout(args) -> FanoutReport:
-    """--strategy's layout vetted: raw --moduli are allowed (beyond Md5Config's 256 cap)."""
+    """The fan-out report of --strategy's layout; raw --moduli may pass Md5Config's 256 cap."""
     strategy, payload = _flag_payload(args)
     if strategy.flag != "moduli":
         payload = _config(args.strategy, payload).level_moduli
