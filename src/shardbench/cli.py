@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import re
 import stat
@@ -463,6 +461,8 @@ def _emit_analysis(
     include_counts: bool,
 ) -> None:
     if fmt == "json":
+        import json  # each report format imports its module only when used
+
         report = {
             "strategy": strategy,
             "config": config_echo,
@@ -479,6 +479,8 @@ def _emit_analysis(
         json.dump(report, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["bucket", "count"])
         for bucket, count in enumerate(histogram.counts):
@@ -575,6 +577,7 @@ def _compare_steps(specs, levels: list[int], ids: str | None):
                     note = f"skipping mapping at level {level} (only level 0 exists)"
                 else:
                     _parse_ids(ids)
+                    joint_bucket_count((payload[1],), 0)  # one dense slot per server
             else:
                 moduli = _config(strategy.name, payload).level_moduli
                 if level >= len(moduli):
@@ -640,6 +643,8 @@ def _emit_compare(out, fmt: str, rows) -> None:
         for level, _, label, histogram, stats in rows
     ]
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(formatted)

@@ -6,12 +6,11 @@ import bisect
 import random
 import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Generator, Iterator
 
 from .errors import ShardbenchError, SpaceExhausted
-from .model import ALPHABET, MAX_USERNAME_LENGTH, Username, normalize_username
+from .model import ALPHABET, MAX_USERNAME_LENGTH, Username, _Record, normalize_username
 
 MODELS = ("uniform", "name_like")
 
@@ -61,26 +60,23 @@ def _char_class(c: str) -> str:
     return "consonant"
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusSpec:
+class CorpusSpec(_Record):
     """What to generate: model, size, seed, and the length range."""
 
-    model: str
-    count: int
-    seed: int
-    min_len: int = 3
-    max_len: int = 12
+    __slots__ = ("model", "count", "seed", "min_len", "max_len")
 
-    def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if not 1 <= self.min_len <= self.max_len <= MAX_USERNAME_LENGTH:
+    def __init__(self, model: str, count: int, seed: int, min_len: int = 3,
+                 max_len: int = 12) -> None:
+        if model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if not 1 <= min_len <= max_len <= MAX_USERNAME_LENGTH:
             raise ValueError(
                 f"need 1 <= min_len <= max_len <= {MAX_USERNAME_LENGTH}, "
-                f"got {self.min_len}..{self.max_len}"
+                f"got {min_len}..{max_len}"
             )
+        self._fill(model, count, seed, min_len, max_len)
 
 
 def first_letter_weights() -> dict[str, float]:

@@ -3,26 +3,25 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Username
+from .model import Username, _Record
 from .strategies import LetterConfig, Md5Config, md5_placement
 
 DEFAULT_FANOUT_LIMIT = 64_000
 
 
-@dataclass(frozen=True, slots=True)
-class StoragePath:
+class StoragePath(_Record):
     """Root-relative directory chain ending in the username itself.
 
     Terminating every path with the full username is what makes placement
     one-to-one: two names can share every bucket yet never a leaf.
     """
 
-    root: str
-    segments: tuple[str, ...]
-    leaf: Username
+    __slots__ = ("root", "segments", "leaf")
+
+    def __init__(self, root: str, segments: tuple[str, ...], leaf: Username) -> None:
+        self._fill(root, segments, leaf)
 
     def render(self) -> str:
         parts = [self.root.rstrip("/")] if self.root else [""]
@@ -34,15 +33,14 @@ class StoragePath:
         return self.render()
 
 
-@dataclass(frozen=True, slots=True)
-class FanoutReport:
+class FanoutReport(_Record):
     """Per-level child counts checked against a per-directory limit."""
 
-    per_level_dirs: tuple[int, ...]
-    dirs_under_one_top: int
-    total_leaf_buckets: int
-    limit: int
-    ok: bool
+    __slots__ = ("per_level_dirs", "dirs_under_one_top", "total_leaf_buckets", "limit", "ok")
+
+    def __init__(self, per_level_dirs: tuple[int, ...], dirs_under_one_top: int,
+                 total_leaf_buckets: int, limit: int, ok: bool) -> None:
+        self._fill(per_level_dirs, dirs_under_one_top, total_leaf_buckets, limit, ok)
 
 
 def letter_path(u: Username, root: str, max_depth: int = 6) -> StoragePath:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import EmptyName, InvalidCharacter, TooLong
 
@@ -64,18 +63,52 @@ def char_index(c: str) -> int:
         raise InvalidCharacter(c, 0) from None
 
 
-@dataclass(frozen=True, slots=True)
-class Placement:
+class _Record:
+    """An immutable value: fields are __slots__ set once by __init__, which pickling reruns.
+    Equal (and hashed) by field values within one class; repr is `Name(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Placement(_Record):
     """Per-level bucket assignments: one (bucket_index, modulus) pair per level."""
 
-    levels: tuple[tuple[int, int], ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self) -> None:
-        for bucket, modulus in self.levels:
+    def __init__(self, levels: tuple[tuple[int, int], ...]) -> None:
+        for bucket, modulus in levels:
             if modulus < 1:
                 raise ValueError(f"modulus {modulus} must be positive")
             if not 0 <= bucket < modulus:
                 raise ValueError(f"bucket {bucket} outside 0..{modulus - 1}")
+        object.__setattr__(self, "levels", levels)
 
     @property
     def depth(self) -> int:

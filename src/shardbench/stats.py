@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import EmptyHistogram, LevelOutOfRange, ShapeMismatch, TooManyBuckets
-from .model import Placement, Username
+from .model import Placement, Username, _Record
 from .strategies import MappingConfig, counter_placement
 
 # Dense count arrays only; joint spaces beyond this are rejected outright
@@ -15,34 +14,34 @@ from .strategies import MappingConfig, counter_placement
 DENSE_BUCKET_CAP = 1 << 21
 
 
-@dataclass(slots=True)
-class Histogram:
+class Histogram(_Record):
     """Dense per-bucket counts over a fixed bucket space, zeros included.
 
     `skipped` counts corpus entries whose placement was too shallow for the
-    requested level; they are excluded from `total`.
+    requested level; they are excluded from `total`. The one mutable record.
     """
 
-    counts: list[int]
-    total: int
-    skipped: int = 0
+    __slots__ = ("counts", "total", "skipped")
+    __setattr__ = object.__setattr__
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if sum(self.counts) != self.total:
+    def __init__(self, counts: list[int], total: int, skipped: int = 0) -> None:
+        if sum(counts) != total:
             raise ValueError("total does not match sum of counts")
+        self._fill(counts, total, skipped)
 
     @property
     def bucket_count(self) -> int:
         return len(self.counts)
 
 
-@dataclass(frozen=True, slots=True)
-class DistributionStats:
+class DistributionStats(_Record):
     """The figure of merit: spread about the ideal (perfectly even) mean."""
 
-    ideal_mean: float
-    std_dev: float
-    deviation_ratio: float
+    __slots__ = ("ideal_mean", "std_dev", "deviation_ratio")
+
+    def __init__(self, ideal_mean: float, std_dev: float, deviation_ratio: float) -> None:
+        self._fill(ideal_mean, std_dev, deviation_ratio)
 
 
 def joint_bucket_count(level_moduli: tuple[int, ...], level: int) -> int:
@@ -99,7 +98,7 @@ def build_mapping_histogram(ids: range, cfg: MappingConfig) -> Histogram:
         got = ids if isinstance(ids, range) else type(ids).__name__
         raise TypeError(f"ids must be a range with step 1, got {got}")
     size, servers = cfg.bucket_size, cfg.num_servers
-    counts = [0] * servers
+    counts = [0] * joint_bucket_count((servers,), 0)
     if not ids:
         return Histogram(counts, 0)
     first, last = ids[0], ids[-1]

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NothingToSum
-from .model import Placement, Username, char_index
+from .model import Placement, Username, _Record, char_index
 
 try:  # CPython's built-in MD5 skips OpenSSL's per-call set-up
     from _md5 import md5 as _md5
@@ -13,67 +11,64 @@ except ImportError:
     from hashlib import md5 as _md5
 
 
-@dataclass(frozen=True, slots=True)
-class LetterConfig:
+class LetterConfig(_Record):
     """Letter expansion: one directory level per leading character, up to six."""
 
-    levels: int = 6
+    __slots__ = ("levels",)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.levels <= 6:
-            raise ValueError(f"levels must be in 1..6, got {self.levels}")
+    def __init__(self, levels: int = 6) -> None:
+        if not 1 <= levels <= 6:
+            raise ValueError(f"levels must be in 1..6, got {levels}")
+        object.__setattr__(self, "levels", levels)
 
     @property
     def level_moduli(self) -> tuple[int, ...]:
         return (37,) * self.levels
 
 
-@dataclass(frozen=True, slots=True)
-class AsciiSumConfig:
+class AsciiSumConfig(_Record):
     """ASCII-sum modulo: level k sums bytes after dropping the first k characters."""
 
-    level_moduli: tuple[int, ...] = (31, 33)
+    __slots__ = ("level_moduli",)
 
-    def __post_init__(self) -> None:
-        if not self.level_moduli:
+    def __init__(self, level_moduli: tuple[int, ...] = (31, 33)) -> None:
+        if not level_moduli:
             raise ValueError("level_moduli must not be empty")
         # Modulus 1 is degenerate (every name lands in bucket 0) but legal.
-        for m in self.level_moduli:
+        for m in level_moduli:
             if m < 1:
                 raise ValueError(f"modulus {m} must be positive")
-        object.__setattr__(self, "level_moduli", tuple(self.level_moduli))
+        object.__setattr__(self, "level_moduli", tuple(level_moduli))
 
 
-@dataclass(frozen=True, slots=True)
-class MappingConfig:
+class MappingConfig(_Record):
     """Counter mapping: fixed-size buckets of sequential IDs, round-robin to servers."""
 
-    bucket_size: int
-    num_servers: int
+    __slots__ = ("bucket_size", "num_servers")
 
-    def __post_init__(self) -> None:
-        if self.bucket_size < 1:
-            raise ValueError(f"bucket_size must be >= 1, got {self.bucket_size}")
-        if self.num_servers < 1:
-            raise ValueError(f"num_servers must be >= 1, got {self.num_servers}")
+    def __init__(self, bucket_size: int, num_servers: int) -> None:
+        if bucket_size < 1:
+            raise ValueError(f"bucket_size must be >= 1, got {bucket_size}")
+        if num_servers < 1:
+            raise ValueError(f"num_servers must be >= 1, got {num_servers}")
+        self._fill(bucket_size, num_servers)
 
 
-@dataclass(frozen=True, slots=True)
-class Md5Config:
+class Md5Config(_Record):
     """Multi-level MD5: level k consumes the hex pair at positions (2k, 2k+1)."""
 
-    level_moduli: tuple[int, ...] = (64, 64, 128)
+    __slots__ = ("level_moduli",)
 
-    def __post_init__(self) -> None:
-        if not self.level_moduli:
+    def __init__(self, level_moduli: tuple[int, ...] = (64, 64, 128)) -> None:
+        if not level_moduli:
             raise ValueError("level_moduli must not be empty")
-        if len(self.level_moduli) > 16:
+        if len(level_moduli) > 16:
             raise ValueError("a digest has 32 hex characters: at most 16 levels")
         # A hex pair spans 0..255, so a modulus above 256 can never fill.
-        for m in self.level_moduli:
+        for m in level_moduli:
             if not 2 <= m <= 256:
                 raise ValueError(f"modulus {m} outside 2..256")
-        object.__setattr__(self, "level_moduli", tuple(self.level_moduli))
+        object.__setattr__(self, "level_moduli", tuple(level_moduli))
 
 
 def letter_placement(u: Username, cfg: LetterConfig = LetterConfig()) -> Placement:

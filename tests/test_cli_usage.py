@@ -217,3 +217,26 @@ def test_mkdirs_builds_layouts_up_to_the_cap(tmp_path, monkeypatch, flags, modul
     monkeypatch.setattr(cli, "materialize_tree", lambda root, m: built.append(tuple(m)) or 0)
     assert main(["mkdirs", "--root", str(tmp_path), *flags]) == EXIT_OK
     assert built == [moduli]
+
+
+OVER_CAP = "error: joint space 2097153 exceeds dense cap 2097152\n"
+
+
+def test_analyze_refuses_mapping_servers_over_the_dense_cap(capsys):
+    argv = ["analyze", "--strategy", "mapping", "--ids", "1..10", "--bucket-size", "1",
+            "--servers", "2097153", "--no-counts"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", OVER_CAP)
+
+
+def test_compare_refuses_mapping_servers_over_the_dense_cap_before_it_scans(
+        dirty_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("compare scanned or built loads before refusing")
+
+    monkeypatch.setattr(cli, "build_mapping_histogram", refuse)
+    monkeypatch.setattr(cli, "_scan", refuse)
+    argv = ["compare", dirty_path, "--strategy", "mapping:1,2097153", "--strategy", "md5",
+            "--ids", "1..10"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", OVER_CAP)

@@ -155,3 +155,9 @@ def test_histogram_is_mutable_and_unhashable():
     clone = copy.deepcopy(h)
     clone.counts[0] = 0
     assert h.counts == [2, 2]
+
+
+@pytest.mark.parametrize("cls, kwargs, _, __", FROZEN, ids=_ids(FROZEN))
+def test_an_unknown_attribute_cannot_be_set(cls, kwargs, _, __):
+    with pytest.raises(AttributeError):
+        cls(**kwargs).extra = 1

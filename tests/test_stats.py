@@ -14,6 +14,7 @@ from shardbench.errors import (
 )
 from shardbench.model import Username
 from shardbench.stats import (
+    DENSE_BUCKET_CAP,
     Histogram,
     build_histogram,
     build_mapping_histogram,
@@ -165,6 +166,13 @@ def test_mapping_histogram_takes_only_step_one_ranges():
         build_mapping_histogram(range(1, 10, 2), cfg)
     with pytest.raises(ValueError, match="member_id must be >= 1, got 0"):
         build_mapping_histogram(range(0, 5), cfg)
+
+
+def test_mapping_histogram_is_held_to_the_dense_cap():
+    ids = range(1, 11)
+    assert build_mapping_histogram(ids, MappingConfig(1, DENSE_BUCKET_CAP)).bucket_count == 1 << 21
+    with pytest.raises(TooManyBuckets, match="joint space 2097153 exceeds dense cap 2097152"):
+        build_mapping_histogram(ids, MappingConfig(1, DENSE_BUCKET_CAP + 1))
 
 
 def test_merge_identity():
