@@ -461,7 +461,7 @@ def _emit_analysis(
     include_counts: bool,
 ) -> None:
     if fmt == "json":
-        import json  # each report format imports its module only when used
+        import json  # here, not at module level, so only runs that write JSON load it
 
         report = {
             "strategy": strategy,
@@ -479,7 +479,7 @@ def _emit_analysis(
         json.dump(report, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
-        import csv
+        import csv  # likewise for CSV
 
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["bucket", "count"])

@@ -108,7 +108,7 @@ class Placement(_Record):
                 raise ValueError(f"modulus {modulus} must be positive")
             if not 0 <= bucket < modulus:
                 raise ValueError(f"bucket {bucket} outside 0..{modulus - 1}")
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", levels)  # not _fill(): oracles build one per name
 
     @property
     def depth(self) -> int:

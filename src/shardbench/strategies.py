@@ -19,7 +19,7 @@ class LetterConfig(_Record):
     def __init__(self, levels: int = 6) -> None:
         if not 1 <= levels <= 6:
             raise ValueError(f"levels must be in 1..6, got {levels}")
-        object.__setattr__(self, "levels", levels)
+        self._fill(levels)
 
     @property
     def level_moduli(self) -> tuple[int, ...]:
@@ -38,7 +38,7 @@ class AsciiSumConfig(_Record):
         for m in level_moduli:
             if m < 1:
                 raise ValueError(f"modulus {m} must be positive")
-        object.__setattr__(self, "level_moduli", tuple(level_moduli))
+        self._fill(tuple(level_moduli))
 
 
 class MappingConfig(_Record):
@@ -68,7 +68,7 @@ class Md5Config(_Record):
         for m in level_moduli:
             if not 2 <= m <= 256:
                 raise ValueError(f"modulus {m} outside 2..256")
-        object.__setattr__(self, "level_moduli", tuple(level_moduli))
+        self._fill(tuple(level_moduli))
 
 
 def letter_placement(u: Username, cfg: LetterConfig = LetterConfig()) -> Placement:
