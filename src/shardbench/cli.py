@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import marshal
 import os
 import re
 import stat
@@ -33,7 +34,6 @@ from .stats import (  # noqa: F401
     build_mapping_histogram,
     compute_stats,
     joint_bucket_count,
-    merge_histograms,
 )
 from .strategies import (
     AsciiSumConfig,
@@ -241,8 +241,8 @@ def _spec_loop(name: str, payload, level: int) -> tuple[Callable[[list[bytes]], 
     return loop, tallies
 
 
-def _scan_chunk(task) -> tuple[list[list[Histogram]], list[tuple[int, str]], int]:
-    """One pass over a byte range: the tallies of each (name, payload, level) spec.
+def _scan_chunk(task) -> tuple[list[list[list[int]]], list[tuple[int, str]], int]:
+    """One pass over a byte range: the dense tallies of each (name, payload, level) spec.
 
     Also returns the rejected lines, numbered from 1 at the range's start,
     and the number of lines in the range.
@@ -258,10 +258,10 @@ def _scan_chunk(task) -> tuple[list[list[Histogram]], list[tuple[int, str]], int
                 loop(names)
     except StopIteration as done:  # read_names returns its line count
         lines = done.value
-    return [[Histogram(t, sum(t)) for t in tallies] for _, tallies in loops], rejects, lines
+    return [tallies for _, tallies in loops], rejects, lines
 
 
-def _levels(tallies: list[Histogram], moduli: tuple[int, ...], lowest: int) -> dict[int, Histogram]:
+def _levels(tallies: list[list[int]], moduli: tuple[int, ...], lowest: int) -> dict[int, Histogram]:
     """A spec's histograms at levels lowest..L, from its tallies at its deepest level L.
 
     Level l's joint index is level l+1's divided by level l+1's modulus, so
@@ -270,14 +270,15 @@ def _levels(tallies: list[Histogram], moduli: tuple[int, ...], lowest: int) -> d
     reach level l are its skipped.
     """
     deepest = len(tallies) - 1
-    skipped = sum(t.total for t in tallies[:-1])
-    levels = {deepest: Histogram(tallies[-1].counts, tallies[-1].total, skipped)}
+    totals = [sum(tally) for tally in tallies]
+    skipped = sum(totals[:-1])
+    levels = {deepest: Histogram(tallies[-1], totals[-1], skipped)}
     for level in range(deepest - 1, lowest - 1, -1):
         deeper, tally, run = levels[level + 1].counts, tallies[level], moduli[level + 1]
         counts = [sum(deeper[i:i + run]) for i in range(0, len(deeper), run)]
-        if tally.counts:  # md5's are empty
-            counts = list(map(add, counts, tally.counts))
-        skipped -= tally.total
+        if tally:  # md5's are empty
+            counts = list(map(add, counts, tally))
+        skipped -= totals[level]
         levels[level] = Histogram(counts, sum(counts), skipped)
     return levels
 
@@ -337,32 +338,79 @@ def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
     return [levels[name, payload][level] for name, payload, level in pairs], rejects
 
 
-def _scan_specs(path: str, specs) -> tuple[list[list[Histogram]], list[tuple[int, str]]]:
+def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int, str]]]:
     """The tallies of every (name, payload, level) spec over a corpus file, and its rejects.
 
-    Splits the file across processes when worthwhile and merges the
-    per-chunk tallies pairwise in input order.
+    Splits the file into chunks when worthwhile: a forked child scans each
+    chunk but the first, which this process scans meanwhile. The per-chunk
+    tallies are summed, and the rejects renumbered, in chunk order.
     """
     if os.path.getsize(path) < _PARALLEL_MIN_BYTES:
         workers = _threads_setting() or 1  # serial unless the setting asks for workers
     else:
         workers = _worker_count()
-    tasks = [(path, start, end, specs) for start, end in _plan_chunks(path, workers)]
-    if len(tasks) == 1:
-        tallies, rejects, _ = _scan_chunk(tasks[0])
-        return tallies, rejects
-    # Imported here: at module level it would cost every run, serial ones too, ~25 ms.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        results = list(pool.map(_scan_chunk, tasks))
-    tallies, rejects, lines_before = results[0]
-    for partials, partial_rejects, lines in results[1:]:
-        tallies = [[merge_histograms(h, p) for h, p in zip(spec, partial)]
-                   for spec, partial in zip(tallies, partials)]
-        rejects += [(n + lines_before, reason) for n, reason in partial_rejects]
-        lines_before += lines
+    first, *rest = _plan_chunks(path, workers if hasattr(os, "fork") else 1)
+    children: list[tuple[int, int, tuple[int, int]]] = []  # (pid, read end, chunk)
+    try:
+        for chunk in rest:
+            children.append((*_fork_chunk((path, *chunk, specs)), chunk))
+        tallies, rejects, lines_before = _scan_chunk((path, *first, specs))
+        for pid, read_end, (start, end) in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            try:
+                result = marshal.loads(payload)
+            except (EOFError, ValueError, TypeError):
+                raise ChildProcessError(f"the worker scanning bytes {start}..{end} of "
+                                        f"{path} exited without a result") from None
+            if isinstance(result, bytes):  # the worker failed: raise what it raised
+                import pickle  # here, not at module level: only a failed worker needs it
+                raise pickle.loads(result)
+            partials, partial_rejects, lines = result
+            tallies = [[list(map(add, t, p)) for t, p in zip(spec, partial)]
+                       for spec, partial in zip(tallies, partials)]
+            rejects += [(n + lines_before, reason) for n, reason in partial_rejects]
+            lines_before += lines
+    except BaseException:
+        import signal  # likewise: only a failed scan stops its workers early
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end, _ in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
     return tallies, rejects
+
+
+def _fork_chunk(task) -> tuple[int, int]:
+    """Fork a child that scans one chunk and writes its result to a pipe: (pid, read end).
+
+    The child writes the marshalled result of _scan_chunk(task), or if that
+    raises, the pickled exception, and leaves by os._exit: it never returns,
+    never flushes the stdio buffers it inherited and never runs exit handlers.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    try:
+        os.close(read_end)  # so the write fails, not blocks, once the parent closes its end
+        try:
+            payload = marshal.dumps(_scan_chunk(task))
+        except BaseException as exc:
+            import pickle
+            payload = marshal.dumps(pickle.dumps(exc))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
 
 
 def _report_rejects(rejects: list[tuple[int, str]]) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import random
-import re
 import sys
 from importlib import resources
 from typing import Callable, Generator, Iterator
@@ -102,12 +101,17 @@ def first_letter_weights() -> dict[str, float]:
     return _first_letter_weights
 
 
-# A line whose ASCII-trimmed bytes match this is a valid name as it stands:
-# only Unicode-aware trimming or a reject reason needs the slow path.
-_PLAIN_NAME = re.compile(rb"[0-9A-Za-z_]{1,%d}" % MAX_USERNAME_LENGTH)
-# A run of whole lines that are each a valid name with nothing to trim. The
-# `^` keeps a run from starting inside an over-long line.
-_PLAIN_RUN = re.compile(rb"^(?:[0-9A-Za-z_]{1,%d}\n)+" % MAX_USERNAME_LENGTH, re.M)
+# In a block's marks each name byte ([0-9A-Za-z_]) reads as `a`, `\n` as
+# itself and any other byte as `!`, and 65 `a`s in a row (an over-long line)
+# become `!`s. Only a line whose marks hold a `!`, or a blank one (a `\n`
+# right after another), needs the per-line check: every other line is a
+# name as it stands.
+_NAME_BYTES = (ALPHABET + ALPHABET.upper()).encode()
+_MARKS = bytes(97 if b in _NAME_BYTES else b if b == 10 else 33 for b in range(256))
+_OVERLONG = b"a" * (MAX_USERNAME_LENGTH + 1)
+# Folds A-Z, and turns `\r` (only ever in a checked line) into a byte that
+# does not split a line, so one splitlines() cuts a block at `\n` alone.
+_FOLD = bytes.maketrans(ALPHABET.upper().encode() + b"\r", ALPHABET.encode() + b"!")
 # Bytes read per block. Larger blocks buy no speed and raise peak memory.
 _BLOCK = 16 << 10
 # The line terminator every name from read_names() keeps, so md5 hashes the
@@ -135,21 +139,36 @@ def read_names(
     """
     line_number = 1
     for block in _blocks(path, start, sys.maxsize if end is None else end):
-        names: list[bytes] = []
-        done = 0
-        for run in _PLAIN_RUN.finditer(block):
-            line_number = _check_lines(block[done:run.start()], line_number, names, on_reject)
-            lines = run.group()
-            names += lines.lower().splitlines(True)
-            line_number += lines.count(b"\n")
-            done = run.end()
-        line_number = _check_lines(block[done:], line_number, names, on_reject)
-        yield names
+        marks = block.translate(_MARKS).replace(_OVERLONG, b"!" * len(_OVERLONG))
+        lines = block.translate(_FOLD).splitlines(True)
+        dropped = [0] if block.startswith(b"\n") else []  # a blank first line has no "\n\n"
+        # Each sign's lines are found in file order, so `index` only counts
+        # forward. Blank lines report nothing, so rejects come in line order.
+        for sign in (b"!", b"\n\n"):
+            at = marks.find(sign)
+            seen = index = 0
+            while at >= 0:
+                stop = marks.find(b"\n", at + len(sign) - 1)
+                first = marks.rfind(b"\n", 0, stop) + 1
+                index += marks.count(b"\n", seen, first)
+                seen = first
+                name, reason = _check_line(block[first:stop])
+                if name is None:
+                    dropped.append(index)
+                else:
+                    lines[index] = name + NAME_END
+                if reason is not None and on_reject is not None:
+                    on_reject(line_number + index, reason)
+                at = marks.find(sign, stop)
+        line_number += len(lines)
+        for index in sorted(dropped, reverse=True):
+            del lines[index]
+        yield lines
     return line_number - 1
 
 
 def _blocks(path, start: int, end: int) -> Iterator[bytes]:
-    """The lines starting in [start, end), in blocks that each end with a whole line."""
+    """The lines starting in [start, end), in blocks of whole lines that each end with b"\\n"."""
     with open(path, "rb") as handle:
         handle.seek(start)
         position = start
@@ -160,35 +179,14 @@ def _blocks(path, start: int, end: int) -> Iterator[bytes]:
             if not block.endswith(b"\n"):
                 block += handle.readline()  # finish the last line, even past `end`
             position += len(block)
-            yield block
-
-
-def _check_lines(
-    text: bytes,
-    line_number: int,
-    names: list[bytes],
-    on_reject: Callable[[int, str], None] | None,
-) -> int:
-    """Append each valid line of `text` to names; return the next line's number."""
-    lines = text.split(b"\n")
-    if not lines[-1]:
-        lines.pop()  # the empty piece after the last newline
-    fullmatch = _PLAIN_NAME.fullmatch
-    for number, raw in enumerate(lines, line_number):
-        name = raw.strip()
-        if fullmatch(name):
-            names.append(name.lower() + NAME_END)
-            continue
-        name, reason = _check_line(raw)
-        if name is not None:
-            names.append(name + NAME_END)
-        elif reason is not None and on_reject is not None:
-            on_reject(number, reason)
-    return line_number + len(lines)
+            yield block if block.endswith(b"\n") else block + b"\n"  # the file's last line
 
 
 def _check_line(raw: bytes) -> tuple[bytes | None, str | None]:
     """(name, None) for a valid line, (None, reason) for a rejected one, (None, None) if blank."""
+    name = raw.strip()  # a name padded with ASCII whitespace needs no decoding
+    if 0 < len(name) <= MAX_USERNAME_LENGTH and not name.translate(None, _NAME_BYTES):
+        return name.lower(), None
     try:
         text = raw.decode("utf-8").strip()
     except UnicodeDecodeError:

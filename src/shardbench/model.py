@@ -10,6 +10,8 @@ ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz_"
 MAX_USERNAME_LENGTH = 64
 
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
+# Folds A-Z alone: str.lower() would also fold "É", "İ" and the Kelvin sign.
+_ASCII_FOLD = {c: c + 32 for c in range(ord("A"), ord("Z") + 1)}
 # Exactly the strings Username accepts; any other value takes the walk in
 # Username.__new__, which finds the reason.
 _VALID = re.compile(r"[0-9a-z_]{1,%d}" % MAX_USERNAME_LENGTH)
@@ -49,10 +51,7 @@ def normalize_username(raw: str) -> Username:
     trimmed = raw.strip()
     if not trimmed:
         raise EmptyName("name is empty after trimming whitespace")
-    folded = "".join(
-        chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in trimmed
-    )
-    return Username(folded)
+    return Username(trimmed.translate(_ASCII_FOLD))
 
 
 def char_index(c: str) -> int:

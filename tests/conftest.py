@@ -1,4 +1,16 @@
+import os
+
+import pytest
+
 import _gate
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """Every test reaps each process it starts, forked scan workers included."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from shardbench import model
 from shardbench.errors import EmptyName, InvalidCharacter, TooLong
 from shardbench.model import (
     ALPHABET,
@@ -76,6 +77,29 @@ def test_normalize_empty_and_whitespace_only():
         normalize_username("")
     with pytest.raises(EmptyName):
         normalize_username("   \t ")
+
+
+def _fold_per_character(text: str) -> str:
+    """The per-character A-Z fold normalize_username() used before its translate table."""
+    return "".join(chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in text)
+
+
+# "É", "İ", the Kelvin sign and "ß" fold (or change length) under str.lower():
+# an A-Z fold must leave every one of them as it is.
+_NEAR_ASCII = "ÉİKß\u212aéAZaz@[`{"
+
+
+@given(st.text(min_size=0, max_size=40) | st.text(alphabet=_NEAR_ASCII, max_size=40))
+def test_the_fold_table_matches_the_per_character_fold(text):
+    assert text.translate(model._ASCII_FOLD) == _fold_per_character(text)
+
+
+@pytest.mark.parametrize("char", ["É", "İ", "\u212a", "ß"])
+def test_normalize_rejects_a_non_ascii_capital_unfolded(char):
+    assert model._ASCII_FOLD.get(ord(char)) is None
+    with pytest.raises(InvalidCharacter) as excinfo:
+        normalize_username("Ab" + char)
+    assert (excinfo.value.char, excinfo.value.position) == (char, 2)
 
 
 def test_username_length_cap():

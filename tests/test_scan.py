@@ -3,10 +3,12 @@
 import hashlib
 import os
 import string
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shardbench import cli, corpus
@@ -31,14 +33,18 @@ STRATEGIES = [
 ]
 PAIRS = [(name, payload, level) for name, payload, _, _ in STRATEGIES for level in (0, 1)]
 
-_PADDING = [b"", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\xc2\xa0"]
+# \x1f and NEL (\xc2\x85) are whitespace only once decoded; \x00 never is.
+_PADDING = [b"", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"\xc2\xa0",
+            b"\xc2\x85", b"\x00"]
 _NAMES = st.one_of(
     st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=4).map(str.encode),
-    st.sampled_from([b"a" * 64, b"B" * 64, b"c" * 65, b"na me", b"a\rb", b"\xff", b"\xc3(", b"\xc3\xa9"]),
+    st.sampled_from([b"a" * 64, b"B" * 64, b"c" * 65, b"aB" * 32, b"Ab" * 32 + b"C",
+                     b"x" * 63 + b"Y_", b"na me", b"a\rb", b"\xff", b"\xc3(", b"\xc3\xa9"]),
 )
 _LINES = st.one_of(
     st.tuples(st.sampled_from(_PADDING), _NAMES, st.sampled_from(_PADDING)).map(b"".join),
-    st.sampled_from([b"", b"  ", b"\r"]),
+    # Blank lines, runs of them, and lines of only \r.
+    st.sampled_from([b"", b"\n", b"\n\n", b"  ", b"\r", b"\r\r"]),
     st.binary(max_size=6),
 )
 FILES = st.tuples(st.lists(_LINES, max_size=30), st.booleans()).map(
@@ -161,6 +167,11 @@ def test_threads_warning_prints_once_per_compare(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("block", [1, 7])
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=FILES)
+# With blocks of 7 bytes: blank lines at block starts, and a CRLF line that fills a block.
+@example(data=b"abcdef\n\nx\n")
+@example(data=b"abcde\r\n\n\n")
+@example(data=b"\n\n\n\n\n\n\n\nAb\n")
+@example(data=b"abcdefg\n\nh")
 def test_kernel_matches_the_oracle_across_block_edges(corpus_file, block, data):
     with mock.patch.object(corpus, "_BLOCK", block):
         _check_kernel(corpus_file, data, 1)
@@ -296,8 +307,8 @@ def test_md5_tallies_no_names_below_its_deepest_level(tmp_path):
     path.write_bytes(b"al\nbob\ncarol\n")
     task = (str(path), 0, path.stat().st_size, [("md5", (64, 64, 128), 2)])
     (tallies,), _, _ = cli._scan_chunk(task)
-    assert [t.bucket_count for t in tallies] == [0, 0, 64 * 64 * 128]
-    assert tallies[-1].total == 3
+    assert [len(t) for t in tallies] == [0, 0, 64 * 64 * 128]
+    assert sum(tallies[-1]) == 3
 
 
 def test_compare_hashes_each_name_once_per_distinct_md5_spec(tmp_path, monkeypatch, capsys):
@@ -324,16 +335,103 @@ def test_compare_hashes_each_name_once_per_distinct_md5_spec(tmp_path, monkeypat
 def test_ignored_threads_setting_acts_as_unset(tmp_path, monkeypatch, capsys, threads):
     # A small file scans serially unless SHARDBENCH_THREADS asks for workers;
     # a value it ignores must not ask.
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
     path = tmp_path / "names.txt"
     path.write_bytes(b"alice\nbob\ncarol\ndave\n")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setenv("SHARDBENCH_THREADS", threads)
     (histogram,), rejects = cli._scan(str(path), [("md5", (64, 64, 128), 0)])
     assert (histogram.total, rejects) == (4, [])
     capsys.readouterr()
+
+
+def _pooled_corpus(tmp_path):
+    path = tmp_path / "names.txt"
+    path.write_bytes(b"".join(b"user%d\n" % n for n in range(400)) + b"bad name\n")
+    return path
+
+
+def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypatch, capsys):
+    path = _pooled_corpus(tmp_path)
+    scan_chunk = cli._scan_chunk
+
+    def failing(task, fails=lambda start: True):
+        if fails(task[1]):
+            raise OSError(5, "Input/output error", task[0])
+        return scan_chunk(task)
+
+    argv = ["analyze", str(path), "--strategy", "md5", "--level", "1"]
+    monkeypatch.setattr(cli, "_scan_chunk", failing)
+    monkeypatch.setenv("SHARDBENCH_THREADS", "1")
+    assert cli.main(argv) == cli.EXIT_IO
+    serial = capsys.readouterr()
+    assert serial.err == f"error: [Errno 5] Input/output error: '{path}'\n"
+    # A forked child inherits the patch: only the workers' chunks fail, or only the parent's.
+    for fails in (lambda start: start > 0, lambda start: start == 0):
+        monkeypatch.setattr(cli, "_scan_chunk", lambda task: failing(task, fails))
+        monkeypatch.setenv("SHARDBENCH_THREADS", "3")
+        assert cli.main(argv) == cli.EXIT_IO
+        assert capsys.readouterr() == ("", serial.err)
+
+
+def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatch, capsys):
+    path = _pooled_corpus(tmp_path)
+    scan_chunk = cli._scan_chunk
+
+    def vanishing(task):
+        if task[1] > 0:
+            os._exit(0)
+        return scan_chunk(task)
+
+    monkeypatch.setattr(cli, "_scan_chunk", vanishing)
+    monkeypatch.setenv("SHARDBENCH_THREADS", "2")
+    _, (start, size) = cli._plan_chunks(str(path), 2)
+    assert cli.main(["analyze", str(path), "--strategy", "md5"]) == cli.EXIT_IO
+    assert capsys.readouterr() == ("", f"error: the worker scanning bytes {start}..{size} of "
+                                       f"{path} exited without a result\n")
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_the_parent_scans_the_first_chunk_and_forks_one_worker_per_other(
+        tmp_path, monkeypatch, threads):
+    path = _pooled_corpus(tmp_path)
+    forked = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setenv("SHARDBENCH_THREADS", str(threads))
+    assert len(cli._plan_chunks(str(path), threads)) == threads
+    (histogram,), rejects = cli._scan(str(path), [("md5", (64, 64, 128), 1)])
+    assert len(forked) == threads - 1
+    assert (histogram.total, rejects) == (400, [(401, "invalid character ' ' at position 3")])
+
+
+def test_without_fork_the_scan_is_serial(tmp_path, monkeypatch):
+    path = _pooled_corpus(tmp_path)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setenv("SHARDBENCH_THREADS", "3")
+    (histogram,), rejects = cli._scan(str(path), [("md5", (64, 64, 128), 1)])
+    assert (histogram.total, rejects) == (400, [(401, "invalid character ' ' at position 3")])
+
+
+def test_unflushed_output_from_before_a_pooled_scan_is_written_once(tmp_path):
+    path = _pooled_corpus(tmp_path)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys\nsys.stdout.write('before the scan\\n')\n"
+            "from shardbench import cli\n"
+            f"sys.exit(cli.main(['analyze', {str(path)!r}, '--strategy', 'md5', '--no-counts']))")
+    env = dict(os.environ, SHARDBENCH_THREADS="3",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # so the text waits in the buffer when the workers fork
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.count(b"before the scan") == 1

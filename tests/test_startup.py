@@ -14,9 +14,9 @@ SLOW_IMPORTS = {"dataclasses", "inspect", "json", "csv"}
 MARK = "--- modules ---"
 
 
-def _loaded_by(code: str) -> set[str]:
+def _loaded_by(code: str, **environ: str) -> set[str]:
     """The modules loaded once `code` has run, less those of `python -c pass`."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     listing = f"import sys; print({MARK!r}); print(*sys.modules, sep='\\n')"
 
@@ -52,3 +52,12 @@ def test_each_report_format_loads_its_module(tmp_path):
         argv = ["analyze", str(corpus), "--strategy", "md5", "--format", fmt]
         added = _loaded_by(f"from shardbench import cli\nassert cli.main({argv!r}) == 0")
         assert module in added, fmt
+
+
+def test_a_scan_split_across_workers_loads_no_pool_module(tmp_path):
+    corpus = tmp_path / "names.txt"
+    corpus.write_text("".join(f"user{n}\n" for n in range(100)))
+    argv = ["analyze", str(corpus), "--strategy", "md5", "--no-counts"]
+    added = _loaded_by(f"from shardbench import cli\nassert cli.main({argv!r}) == 0",
+                       SHARDBENCH_THREADS="2")
+    assert not added & {"concurrent.futures", "multiprocessing", "pickle", "signal"}
