@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import marshal
 import os
 import re
 import stat
 import sys
 import tempfile
-from operator import add
 from typing import Callable, NamedTuple, Sequence
 
-from .corpus import MODELS, NAME_END, CorpusSpec, generate_corpus, read_names
+from .corpus import MODELS, CorpusSpec, generate_corpus
 from .errors import ShardbenchError
 from .layout import (
     DEFAULT_FANOUT_LIMIT,
@@ -23,7 +21,7 @@ from .layout import (
     materialize_tree,
     md5_path,
 )
-from .model import ALPHABET, normalize_username
+from .model import normalize_username
 # build_histogram is the per-name oracle the scan kernel must match; it stays
 # bound here so perfbench/spans.py traces the same names in every module.
 from .stats import (  # noqa: F401
@@ -36,11 +34,11 @@ from .stats import (  # noqa: F401
     joint_bucket_count,
 )
 from .strategies import (
+    CONFIGS,
     AsciiSumConfig,
     LetterConfig,
     MappingConfig,
     Md5Config,
-    _md5,
     letter_placement,
     md5_placement,
 )
@@ -51,9 +49,6 @@ EXIT_IO = 3
 EXIT_EMPTY = 4
 EXIT_LIMIT = 5
 
-_PARALLEL_MIN_BYTES = 4 << 20
-_MAX_AUTO_WORKERS = 8
-_WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
 _REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
 _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
 
@@ -90,17 +85,16 @@ def _parse_mapping(text: str) -> tuple[int, ...]:
 class _Strategy(NamedTuple):
     """What the verbs know of one strategy; each reads it here, not from its name.
 
-    A strategy's payload is what its config is built from: an int for
-    letter, a tuple otherwise. `default` is the payload its config class
-    defaults to. `flag` is the --levels/--moduli flag that carries the
-    payload; it is None for mapping, which is keyed by counter ID, not by
-    username. `parse` turns spec or flag text into a payload. `place` and
-    `path` give a name's placement and storage path, for the strategies
-    with a directory layout.
+    A strategy's payload is what its config, strategies.CONFIGS[name], is
+    built from: an int for letter, a tuple otherwise. `default` is the
+    payload its config class defaults to. `flag` is the --levels/--moduli
+    flag that carries the payload; it is None for mapping, which is keyed
+    by counter ID, not by username. `parse` turns spec or flag text into a
+    payload. `place` and `path` give a name's placement and storage path,
+    for the strategies with a directory layout.
     """
 
     name: str
-    config: Callable
     default: object
     flag: str | None
     parse: Callable
@@ -109,19 +103,18 @@ class _Strategy(NamedTuple):
 
 
 _STRATEGIES = {strategy.name: strategy for strategy in (
-    _Strategy("letter", LetterConfig, LetterConfig().levels, "levels", _parse_depth,
+    _Strategy("letter", LetterConfig().levels, "levels", _parse_depth,
               letter_placement, lambda u, cfg, root: letter_path(u, root, cfg.levels)),
-    _Strategy("ascii-sum", AsciiSumConfig, AsciiSumConfig().level_moduli, "moduli", _parse_moduli),
-    _Strategy("mapping", lambda parts: MappingConfig(*parts), None, None, _parse_mapping),
-    _Strategy("md5", Md5Config, Md5Config().level_moduli, "moduli", _parse_moduli,
-              md5_placement, md5_path),
+    _Strategy("ascii-sum", AsciiSumConfig().level_moduli, "moduli", _parse_moduli),
+    _Strategy("mapping", None, None, _parse_mapping),
+    _Strategy("md5", Md5Config().level_moduli, "moduli", _parse_moduli, md5_placement, md5_path),
 )}
 
 
 def _config(name: str, payload):
     """Rebuild a strategy config from its picklable payload; bad values are usage errors."""
     try:
-        return _STRATEGIES[name].config(payload)
+        return CONFIGS[name](payload)
     except ValueError as exc:
         raise UsageError(f"bad {name} config: {exc}") from None
 
@@ -152,266 +145,7 @@ def _parse_ids(text: str) -> range:
     return range(first, last + 1)
 
 
-# --- corpus scanning (serial and parallel) ----------------------------------
-
-# Kernel loops: one per strategy spec, at the deepest level asked of it. Each
-# adds a block of names, as read_names() yields them (ending in NAME_END), to
-# the spec's tallies: tallies[level] counts each name reaching `level` at the
-# row-major joint index linear_index() gives its placement there, and
-# tallies[k], k < level, counts each name of exactly k + 1 characters, too
-# short to reach `level`, at its own level-k index. md5 never skips a name,
-# so its shallower tallies stay empty lists.
-# The per-name placement functions stay as the reference they must match.
-
-_LETTER_INDEX = bytes(ALPHABET.index(chr(b)) if chr(b) in ALPHABET else 0 for b in range(256))
-
-
-def _spec_loop(name: str, payload, level: int) -> tuple[Callable[[list[bytes]], None], list]:
-    """(loop over a block of names, the dense tallies it fills) for one spec at `level`."""
-    moduli = _config(name, payload).level_moduli
-    sizes = [joint_bucket_count(moduli, k) if name != "md5" or k == level else 0
-             for k in range(level + 1)]
-    tallies = [[0] * size for size in sizes]
-    counts, short = tallies[level], tallies[0]
-    depth = level + 1  # characters a name needs to reach `level`
-    shallow = level + len(NAME_END)  # a name whose bytes are no more than this is too short
-    end_len, end_sum = len(NAME_END), sum(NAME_END)
-    m0, m1 = moduli[0], moduli[1] if level else 0
-    per_level = tuple(enumerate(moduli[:depth]))  # (k, modulus) pairs
-    if name == "md5":
-        md5 = _md5  # md5_digest() hashes the name with its newline too
-        if level == 1:
-            rows = [byte % m0 * m1 for byte in range(256)]  # lookups beat two % and a *
-            cols = [byte % m1 for byte in range(256)]
-
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    d = md5(b).digest()
-                    counts[rows[d[0]] + cols[d[1]]] += 1
-        else:
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    d = md5(b).digest()
-                    i = 0
-                    for k, m in per_level:
-                        i = i * m + d[k] % m
-                    counts[i] += 1
-    elif name == "ascii-sum":
-        if level == 1:
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    total = sum(b) - end_sum
-                    if len(b) > shallow:
-                        counts[total % m0 * m1 + (total - b[0]) % m1] += 1
-                    else:
-                        short[total % m0] += 1
-        else:
-            prefixes = [per_level[:n] for n in range(depth + 1)]  # the pairs n characters reach
-
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    reach = len(b) - end_len
-                    if reach > depth:
-                        reach = depth
-                    total = sum(b) - end_sum
-                    i = 0
-                    for k, m in prefixes[reach]:
-                        i = i * m + total % m
-                        total -= b[k]
-                    tallies[reach - 1][i] += 1
-    else:
-        table = _LETTER_INDEX
-        if level == 1:
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    if len(b) > shallow:
-                        counts[table[b[0]] * 37 + table[b[1]]] += 1
-                    else:
-                        short[table[b[0]]] += 1
-        else:
-            def loop(names: list[bytes]) -> None:
-                for b in names:
-                    reach = len(b) - end_len
-                    if reach > depth:
-                        reach = depth
-                    i = 0
-                    for c in b[:reach]:
-                        i = i * 37 + table[c]
-                    tallies[reach - 1][i] += 1
-    return loop, tallies
-
-
-def _scan_chunk(task) -> tuple[list[list[list[int]]], list[tuple[int, str]], int]:
-    """One pass over a byte range: the dense tallies of each (name, payload, level) spec.
-
-    Also returns the rejected lines, numbered from 1 at the range's start,
-    and the number of lines in the range.
-    """
-    path, start, end, specs = task
-    loops = [_spec_loop(name, payload, level) for name, payload, level in specs]
-    rejects: list[tuple[int, str]] = []
-    reader = read_names(path, lambda n, r: rejects.append((n, r)), start, end)
-    try:
-        while True:
-            names = next(reader)
-            for loop, _ in loops:
-                loop(names)
-    except StopIteration as done:  # read_names returns its line count
-        lines = done.value
-    return [tallies for _, tallies in loops], rejects, lines
-
-
-def _levels(tallies: list[list[int]], moduli: tuple[int, ...], lowest: int) -> dict[int, Histogram]:
-    """A spec's histograms at levels lowest..L, from its tallies at its deepest level L.
-
-    Level l's joint index is level l+1's divided by level l+1's modulus, so
-    each level-l bucket sums one row-major run of that many level-(l+1)
-    buckets, plus the names that stop at level l. The names too short to
-    reach level l are its skipped.
-    """
-    deepest = len(tallies) - 1
-    totals = [sum(tally) for tally in tallies]
-    skipped = sum(totals[:-1])
-    levels = {deepest: Histogram(tallies[-1], totals[-1], skipped)}
-    for level in range(deepest - 1, lowest - 1, -1):
-        deeper, tally, run = levels[level + 1].counts, tallies[level], moduli[level + 1]
-        counts = [sum(deeper[i:i + run]) for i in range(0, len(deeper), run)]
-        if tally:  # md5's are empty
-            counts = list(map(add, counts, tally))
-        skipped -= totals[level]
-        levels[level] = Histogram(counts, sum(counts), skipped)
-    return levels
-
-
-def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
-    """Newline-aligned (start, end) byte ranges covering the file."""
-    size = os.path.getsize(path)
-    if workers <= 1:
-        return [(0, size)]
-    bounds = [0]
-    with open(path, "rb") as handle:
-        for i in range(1, workers):
-            handle.seek(size * i // workers)
-            aligned = handle.tell() + len(handle.readline())  # just past the next newline
-            if bounds[-1] < aligned < size:
-                bounds.append(aligned)
-    bounds.append(size)
-    return list(zip(bounds, bounds[1:]))
-
-
-def _threads_setting() -> int:
-    """The workers SHARDBENCH_THREADS asks for, capped per CPU; 0 unless a positive integer."""
-    raw = os.environ.get("SHARDBENCH_THREADS")
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer SHARDBENCH_THREADS={raw!r}", file=sys.stderr)
-        return 0
-    cap = _WORKERS_PER_CPU * (os.cpu_count() or 1)
-    if value > cap:
-        print(f"warning: capping SHARDBENCH_THREADS={value} at {cap} "
-              f"({_WORKERS_PER_CPU} per CPU)", file=sys.stderr)
-        return cap
-    return max(value, 0)
-
-
-def _worker_count() -> int:
-    return _threads_setting() or min(os.cpu_count() or 1, _MAX_AUTO_WORKERS)
-
-
-def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
-    """Histogram a corpus file once for every (name, payload, level) pair.
-
-    Scans each distinct (name, payload) spec once, at its deepest level,
-    and folds it down to its shallowest. Returns the histograms, in pair
-    order, and every rejected line as (line_number, reason).
-    """
-    spans: dict[tuple[str, object], tuple[int, int]] = {}  # (shallowest, deepest) level
-    for name, payload, level in pairs:
-        low, high = spans.get((name, payload), (level, level))
-        spans[name, payload] = min(low, level), max(high, level)
-    tallies, rejects = _scan_specs(path, [(*spec, high) for spec, (_, high) in spans.items()])
-    levels = {spec: _levels(spec_tallies, _config(*spec).level_moduli, low)
-              for (spec, (low, _)), spec_tallies in zip(spans.items(), tallies)}
-    return [levels[name, payload][level] for name, payload, level in pairs], rejects
-
-
-def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int, str]]]:
-    """The tallies of every (name, payload, level) spec over a corpus file, and its rejects.
-
-    Splits the file into chunks when worthwhile: a forked child scans each
-    chunk but the first, which this process scans meanwhile. The per-chunk
-    tallies are summed, and the rejects renumbered, in chunk order.
-    """
-    if os.path.getsize(path) < _PARALLEL_MIN_BYTES:
-        workers = _threads_setting() or 1  # serial unless the setting asks for workers
-    else:
-        workers = _worker_count()
-    first, *rest = _plan_chunks(path, workers if hasattr(os, "fork") else 1)
-    children: list[tuple[int, int, tuple[int, int]]] = []  # (pid, read end, chunk)
-    try:
-        for chunk in rest:
-            children.append((*_fork_chunk((path, *chunk, specs)), chunk))
-        tallies, rejects, lines_before = _scan_chunk((path, *first, specs))
-        for pid, read_end, (start, end) in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            try:
-                result = marshal.loads(payload)
-            except (EOFError, ValueError, TypeError):
-                raise ChildProcessError(f"the worker scanning bytes {start}..{end} of "
-                                        f"{path} exited without a result") from None
-            if isinstance(result, bytes):  # the worker failed: raise what it raised
-                import pickle  # here, not at module level: only a failed worker needs it
-                raise pickle.loads(result)
-            partials, partial_rejects, lines = result
-            tallies = [[list(map(add, t, p)) for t, p in zip(spec, partial)]
-                       for spec, partial in zip(tallies, partials)]
-            rejects += [(n + lines_before, reason) for n, reason in partial_rejects]
-            lines_before += lines
-    except BaseException:
-        import signal  # likewise: only a failed scan stops its workers early
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read_end, _ in children:
-            os.close(read_end)
-            os.waitpid(pid, 0)
-    return tallies, rejects
-
-
-def _fork_chunk(task) -> tuple[int, int]:
-    """Fork a child that scans one chunk and writes its result to a pipe: (pid, read end).
-
-    The child writes the marshalled result of _scan_chunk(task), or if that
-    raises, the pickled exception, and leaves by os._exit: it never returns,
-    never flushes the stdio buffers it inherited and never runs exit handlers.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    try:
-        os.close(read_end)  # so the write fails, not blocks, once the parent closes its end
-        try:
-            payload = marshal.dumps(_scan_chunk(task))
-        except BaseException as exc:
-            import pickle
-            payload = marshal.dumps(pickle.dumps(exc))
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
-
+# --- corpus scanning -------------------------------------------------------
 
 def _report_rejects(rejects: list[tuple[int, str]]) -> None:
     if rejects:
@@ -430,7 +164,9 @@ def _scan_corpus(
     report_rejects: bool,
 ) -> Histogram:
     """Histogram a corpus file for one strategy at one level."""
-    (histogram,), rejects = _scan(path, [(name, payload, level)])
+    from . import scan  # here, not at module level: only the scanning verbs compile the kernel
+
+    (histogram,), rejects = scan._scan(path, [(name, payload, level)])
     if report_rejects:
         _report_rejects(rejects)
     return histogram
@@ -661,7 +397,9 @@ def _cmd_compare(args) -> int:
             label = f"{strategy.name}[{payload[0]},{payload[1]}]"
         else:
             if scanned is None:  # one pass over the corpus serves every scanned step
-                histograms, rejects = _scan(args.corpus, scans)
+                from . import scan  # likewise
+
+                histograms, rejects = scan._scan(args.corpus, scans)
                 _report_rejects(rejects)
                 scanned = iter(histograms)
             histogram = next(scanned)

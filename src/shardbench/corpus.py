@@ -116,7 +116,7 @@ _FOLD = bytes.maketrans(ALPHABET.upper().encode() + b"\r", ALPHABET.encode() + b
 _BLOCK = 16 << 10
 # The line terminator every name from read_names() keeps, so md5 hashes the
 # line as read with no copy. load_corpus() strips it, and the letter and
-# ascii-sum loops of cli._spec_loop() discount it.
+# ascii-sum loops that scan._build_loop() generates discount it.
 NAME_END = b"\n"
 
 

@@ -1,0 +1,247 @@
+"""The scan kernel: every (strategy, payload, level) histogram of a corpus file in one pass.
+
+Only the verbs that scan a corpus, analyze and compare, import this module.
+"""
+
+from __future__ import annotations
+
+import marshal
+import os
+import sys
+from itertools import compress
+from operator import add
+from typing import Callable
+
+from .corpus import NAME_END, read_names
+from .stats import Histogram, joint_bucket_count
+from .strategies import CONFIGS, _md5
+
+_PARALLEL_MIN_BYTES = 4 << 20
+_MAX_AUTO_WORKERS = 8
+_WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
+
+
+# Kernel loops: one per strategy spec, at the deepest level asked of it. Each
+# adds a block of names, as read_names() yields them, to the spec's tallies:
+# tallies[level] counts each name reaching `level` at the row-major joint
+# index linear_index() gives its placement there. If the config's index rule
+# truncates, tallies[k], k < level, counts each name of exactly k + 1
+# characters, too short to reach `level`, at its own level-k index; otherwise
+# they stay empty lists. A loop's source is unrolled, one term per level with
+# every modulus, stride and table inlined, and compiled once per scan.
+# The per-name placement functions stay as the reference they must match.
+
+def _build_loop(config, level: int) -> tuple[Callable[[list[bytes]], None], list[list[int]]]:
+    """(loop over a block of names, the dense tallies it fills) for one spec at `level`."""
+    rule, moduli = config.index_rule, config.level_moduli
+    tallies = [[0] * joint_bucket_count(moduli, k) if rule.truncates or k == level else []
+               for k in range(level + 1)]
+    space = {"md5": _md5, **{f"c{k}": tally for k, tally in enumerate(tallies)}}
+
+    def index(deepest: int) -> str:
+        """The source of a name's joint index at level `deepest`."""
+        terms, stride = [], 1
+        for k in range(deepest, -1, -1):
+            m = moduli[k]
+            operand = rule.operand.format(k=k, drop="".join(f" - b[{j}]" for j in range(k)))
+            if rule.table is not None:
+                table = f"t{m}_{stride}"
+                if table not in space:
+                    space[table] = [rule.table(byte, m) * stride for byte in range(256)]
+                terms.append(f"{table}[{operand}]")
+            elif m > 1:  # a modulus of 1 puts every name in bucket 0
+                terms.append(f"{operand} % {m}" + (f" * {stride}" if stride > 1 else ""))
+            stride *= m
+        return " + ".join(reversed(terms)) or "0"
+
+    body = [rule.prelude.format(end=sum(NAME_END))] if rule.prelude else []
+    if rule.truncates and level:
+        for k in range(level, 0, -1):  # a name of more than k characters reaches level k
+            body += [f"{'if' if k == level else 'elif'} len(b) > {k + len(NAME_END)}:",
+                     f"    c{k}[{index(k)}] += 1"]
+        body += ["else:", f"    c0[{index(0)}] += 1"]
+    else:
+        body.append(f"c{level}[{index(level)}] += 1")
+    source = "\n".join([f"def loop(names, {', '.join(f'{n}={n}' for n in space)}):",
+                        "    for b in names:", *(f"        {line}" for line in body)])
+    exec(compile(source, f"<{type(config).__name__} loop at level {level}>", "exec"), space)
+    return space["loop"], tallies
+
+
+def _scan_chunk(task) -> tuple[list[list[list[int]]], list[tuple[int, str]], int]:
+    """One pass over a byte range: the dense tallies of each (name, payload, level) spec.
+
+    Also returns the rejected lines, numbered from 1 at the range's start,
+    and the number of lines in the range.
+    """
+    path, start, end, specs = task
+    loops = [_build_loop(CONFIGS[name](payload), level) for name, payload, level in specs]
+    rejects: list[tuple[int, str]] = []
+    reader = read_names(path, lambda n, r: rejects.append((n, r)), start, end)
+    try:
+        while True:
+            names = next(reader)
+            for loop, _ in loops:
+                loop(names)
+    except StopIteration as done:  # read_names returns its line count
+        lines = done.value
+    return [tallies for _, tallies in loops], rejects, lines
+
+
+def _levels(tallies: list[list[int]], moduli: tuple[int, ...], lowest: int) -> dict[int, Histogram]:
+    """A spec's histograms at levels lowest..L, from its tallies at its deepest level L.
+
+    Level l's joint index is level l+1's divided by level l+1's modulus, so
+    each level-l bucket sums one row-major run of that many level-(l+1)
+    buckets, plus the names that stop at level l. The names too short to
+    reach level l are its skipped.
+    """
+    deepest = len(tallies) - 1
+    totals = [sum(tally) for tally in tallies]
+    skipped = sum(totals[:-1])
+    levels = {deepest: Histogram(tallies[-1], totals[-1], skipped)}
+    for level in range(deepest - 1, lowest - 1, -1):
+        deeper, tally, run = levels[level + 1].counts, tallies[level], moduli[level + 1]
+        counts = [sum(deeper[i:i + run]) for i in range(0, len(deeper), run)]
+        if tally:  # md5's are empty
+            counts = list(map(add, counts, tally))
+        skipped -= totals[level]
+        levels[level] = Histogram(counts, sum(counts), skipped)
+    return levels
+
+
+def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
+    """Newline-aligned (start, end) byte ranges covering the file."""
+    size = os.path.getsize(path)
+    if workers <= 1:
+        return [(0, size)]
+    bounds = [0]
+    with open(path, "rb") as handle:
+        for i in range(1, workers):
+            handle.seek(size * i // workers)
+            aligned = handle.tell() + len(handle.readline())  # just past the next newline
+            if bounds[-1] < aligned < size:
+                bounds.append(aligned)
+    bounds.append(size)
+    return list(zip(bounds, bounds[1:]))
+
+
+def _threads_setting() -> int:
+    """The workers SHARDBENCH_THREADS asks for, capped per CPU; 0 unless a positive integer."""
+    raw = os.environ.get("SHARDBENCH_THREADS")
+    if raw is None:
+        return 0
+    try:
+        value = int(raw)
+    except ValueError:
+        print(f"warning: ignoring non-integer SHARDBENCH_THREADS={raw!r}", file=sys.stderr)
+        return 0
+    cap = _WORKERS_PER_CPU * (os.cpu_count() or 1)
+    if value > cap:
+        print(f"warning: capping SHARDBENCH_THREADS={value} at {cap} "
+              f"({_WORKERS_PER_CPU} per CPU)", file=sys.stderr)
+        return cap
+    return max(value, 0)
+
+
+def _worker_count() -> int:
+    return _threads_setting() or min(os.cpu_count() or 1, _MAX_AUTO_WORKERS)
+
+
+def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
+    """Histogram a corpus file once for every (name, payload, level) pair.
+
+    Scans each distinct (name, payload) spec once, at its deepest level,
+    and folds it down to its shallowest. Returns the histograms, in pair
+    order, and every rejected line as (line_number, reason).
+    """
+    spans: dict[tuple[str, object], tuple[int, int]] = {}  # (shallowest, deepest) level
+    for name, payload, level in pairs:
+        low, high = spans.get((name, payload), (level, level))
+        spans[name, payload] = min(low, level), max(high, level)
+    tallies, rejects = _scan_specs(path, [(*spec, high) for spec, (_, high) in spans.items()])
+    levels = {(name, payload): _levels(spec_tallies, CONFIGS[name](payload).level_moduli, low)
+              for ((name, payload), (low, _)), spec_tallies in zip(spans.items(), tallies)}
+    return [levels[name, payload][level] for name, payload, level in pairs], rejects
+
+
+def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int, str]]]:
+    """The tallies of every (name, payload, level) spec over a corpus file, and its rejects.
+
+    Splits the file into chunks when worthwhile: a forked child scans each
+    chunk but the first, which this process scans meanwhile. The per-chunk
+    tallies are summed, and the rejects renumbered, in chunk order.
+    """
+    if os.path.getsize(path) < _PARALLEL_MIN_BYTES:
+        workers = _threads_setting() or 1  # serial unless the setting asks for workers
+    else:
+        workers = _worker_count()
+    first, *rest = _plan_chunks(path, workers if hasattr(os, "fork") else 1)
+    children: list[tuple[int, int, tuple[int, int]]] = []  # (pid, read end, chunk)
+    try:
+        for chunk in rest:
+            children.append((*_fork_chunk((path, *chunk, specs)), chunk))
+        tallies, rejects, lines_before = _scan_chunk((path, *first, specs))
+        for pid, read_end, (start, end) in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            try:
+                result = marshal.loads(payload)
+            except (EOFError, ValueError, TypeError):
+                raise ChildProcessError(f"the worker scanning bytes {start}..{end} of "
+                                        f"{path} exited without a result") from None
+            if isinstance(result, bytes):  # the worker failed: raise what it raised
+                import pickle  # here, not at module level: only a failed worker needs it
+                raise pickle.loads(result)
+            partials, partial_rejects, lines = result
+            for spec, partial in zip(tallies, partials):
+                for tally, (indices, counts) in zip(spec, partial):
+                    for i, count in zip(indices, counts):
+                        tally[i] += count
+            rejects += [(n + lines_before, reason) for n, reason in partial_rejects]
+            lines_before += lines
+    except BaseException:
+        import signal  # likewise: only a failed scan stops its workers early
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end, _ in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    return tallies, rejects
+
+
+def _fork_chunk(task) -> tuple[int, int]:
+    """Fork a child that scans one chunk and writes its result to a pipe: (pid, read end).
+
+    The child writes the marshalled result of _scan_chunk(task), with each
+    tally sent sparse, as (indices, counts) of its nonzero buckets, or if
+    that raises, the pickled exception. It leaves by os._exit: it never
+    returns, never flushes the stdio buffers it inherited and never runs
+    exit handlers.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    try:
+        os.close(read_end)  # so the write fails, not blocks, once the parent closes its end
+        try:
+            tallies, rejects, lines = _scan_chunk(task)
+            sparse = [[(list(compress(range(len(t)), t)), list(filter(None, t))) for t in spec]
+                      for spec in tallies]
+            payload = marshal.dumps((sparse, rejects, lines))
+        except BaseException as exc:
+            import pickle
+            payload = marshal.dumps(pickle.dumps(exc))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)

@@ -2,19 +2,41 @@
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 from .errors import NothingToSum
-from .model import Placement, Username, _Record, char_index
+from .model import ALPHABET, Placement, Username, _Record, char_index
 
 try:  # CPython's built-in MD5 skips OpenSSL's per-call set-up
     from _md5 import md5 as _md5
 except ImportError:
     from hashlib import md5 as _md5
 
+# A strategy's placement as the scan kernel computes it, from the bytes `b`
+# of a name ending in the corpus reader's line terminator (see
+# scan._build_loop). `prelude` runs once per name; `{end}` in it is the sum
+# of the terminator's bytes, and `md5` is _md5, so a name is hashed with its
+# terminator, as md5_digest() hashes it. Level k's term of the joint index
+# reads `operand` with `{k}` filled in, and `{drop}` as " - b[0] - ... -
+# b[k-1]". With a `table`, the term is a 256-entry lookup over the operand
+# holding table(byte, m_k); without one, it is operand % m_k. Either way it
+# is multiplied by the product of the deeper levels' moduli. A `truncates`
+# rule places a name of n characters at no more than n levels, as the
+# per-name placement does.
+class IndexRule(NamedTuple):
+    """How the scan kernel indexes a name's bytes for one strategy."""
+
+    operand: str
+    table: Callable[[int, int], int] | None = None
+    prelude: str = ""
+    truncates: bool = True
+
 
 class LetterConfig(_Record):
     """Letter expansion: one directory level per leading character, up to six."""
 
     __slots__ = ("levels",)
+    index_rule = IndexRule("b[{k}]", lambda byte, m: ALPHABET.find(chr(byte)))
 
     def __init__(self, levels: int = 6) -> None:
         if not 1 <= levels <= 6:
@@ -30,6 +52,7 @@ class AsciiSumConfig(_Record):
     """ASCII-sum modulo: level k sums bytes after dropping the first k characters."""
 
     __slots__ = ("level_moduli",)
+    index_rule = IndexRule("(t{drop})", prelude="t = sum(b) - {end}")
 
     def __init__(self, level_moduli: tuple[int, ...] = (31, 33)) -> None:
         if not level_moduli:
@@ -58,6 +81,8 @@ class Md5Config(_Record):
     """Multi-level MD5: level k consumes the hex pair at positions (2k, 2k+1)."""
 
     __slots__ = ("level_moduli",)
+    index_rule = IndexRule("d[{k}]", lambda byte, m: byte % m,
+                           prelude="d = md5(b).digest()", truncates=False)
 
     def __init__(self, level_moduli: tuple[int, ...] = (64, 64, 128)) -> None:
         if not level_moduli:
@@ -69,6 +94,16 @@ class Md5Config(_Record):
             if not 2 <= m <= 256:
                 raise ValueError(f"modulus {m} outside 2..256")
         self._fill(tuple(level_moduli))
+
+
+# Each strategy's config, built from its payload (the depth for letter, a
+# tuple otherwise), by the name the CLI and the scan kernel give it.
+CONFIGS = {
+    "letter": LetterConfig,
+    "ascii-sum": AsciiSumConfig,
+    "mapping": lambda payload: MappingConfig(*payload),
+    "md5": Md5Config,
+}
 
 
 def letter_placement(u: Username, cfg: LetterConfig = LetterConfig()) -> Placement:

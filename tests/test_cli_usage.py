@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shardbench import cli
+from shardbench import cli, scan
 from shardbench.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 
 # Every reject class, Unicode whitespace padding, CRLF, a blank line and no
@@ -235,7 +235,7 @@ def test_compare_refuses_mapping_servers_over_the_dense_cap_before_it_scans(
         raise AssertionError("compare scanned or built loads before refusing")
 
     monkeypatch.setattr(cli, "build_mapping_histogram", refuse)
-    monkeypatch.setattr(cli, "_scan", refuse)
+    monkeypatch.setattr(scan, "_scan", refuse)
     argv = ["compare", dirty_path, "--strategy", "mapping:1,2097153", "--strategy", "md5",
             "--ids", "1..10"]
     assert main(argv) == EXIT_USAGE

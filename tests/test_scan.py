@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from shardbench import cli, corpus
+from shardbench import cli, corpus, scan
 from shardbench.corpus import load_corpus, read_names
 from shardbench.errors import ShardbenchError
 from shardbench.model import normalize_username
@@ -81,7 +81,7 @@ def _check_kernel(path, data: bytes, threads: int) -> None:
     path.write_bytes(data)
     names, rejects = oracle(data)
     with mock.patch.dict(os.environ, {"SHARDBENCH_THREADS": str(threads)}):
-        histograms, scanned_rejects = cli._scan(str(path), PAIRS)
+        histograms, scanned_rejects = scan._scan(str(path), PAIRS)
     assert scanned_rejects == rejects
     by_name = {name: (placement_fn, moduli) for name, _, placement_fn, moduli in STRATEGIES}
     for (name, _, level), histogram in zip(PAIRS, histograms):
@@ -128,13 +128,13 @@ def test_compare_reads_the_corpus_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "names.txt"
     path.write_bytes(b"alice\nbob\ncarol\n")
     reads = []
-    read_names = cli.read_names
+    read_names = scan.read_names
 
     def counting_reader(path, *args):
         reads.append(path)
         return read_names(path, *args)
 
-    monkeypatch.setattr(cli, "read_names", counting_reader)
+    monkeypatch.setattr(scan, "read_names", counting_reader)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1")
     argv = ["compare", str(path), "--strategy", "letter", "--strategy", "ascii-sum",
             "--strategy", "md5", "--level", "0", "--level", "1"]
@@ -146,11 +146,11 @@ def test_compare_reads_the_corpus_once(tmp_path, monkeypatch, capsys):
 def test_explicit_threads_are_capped_per_cpu(monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1000000")
-    assert cli._worker_count() == 8
+    assert scan._worker_count() == 8
     assert capsys.readouterr().err == \
         "warning: capping SHARDBENCH_THREADS=1000000 at 8 (4 per CPU)\n"
     monkeypatch.setenv("SHARDBENCH_THREADS", "8")
-    assert cli._worker_count() == 8
+    assert scan._worker_count() == 8
     assert capsys.readouterr().err == ""
 
 
@@ -203,13 +203,13 @@ def test_reader_at_block_edges(tmp_path, block, data, names, rejects):
 
 def test_builtin_md5_matches_hashlib():
     for name in [b"\n", b"frank\n", b"a" * 64 + b"\n", b"user_0042\n"]:
-        assert cli._md5(name).digest() == hashlib.md5(name).digest()
+        assert scan._md5(name).digest() == hashlib.md5(name).digest()
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=FILES)
 def test_kernel_matches_the_oracle_with_hashlib_md5(corpus_file, data):
-    with mock.patch.object(cli, "_md5", hashlib.md5):
+    with mock.patch.object(scan, "_md5", hashlib.md5):
         _check_kernel(corpus_file, data, 1)
 
 
@@ -225,22 +225,28 @@ def test_pooled_reject_line_numbers_count_from_the_file_start(tmp_path, monkeypa
     path.write_bytes(b"\n".join(lines) + b"\n")
     _, expected = oracle(path.read_bytes())
     monkeypatch.setenv("SHARDBENCH_THREADS", str(threads))
-    assert len(cli._plan_chunks(str(path), threads)) == threads
-    _, rejects = cli._scan(str(path), PAIRS[:1])
+    assert len(scan._plan_chunks(str(path), threads)) == threads
+    _, rejects = scan._scan(str(path), PAIRS[:1])
     assert rejects == expected
     assert rejects[-1] == (371, "undecodable bytes")
 
 
-# Every level of four deeper specs, with the md5 spec asked for twice: the
+# Every level of seven deeper specs, with the md5 spec asked for twice: the
 # kernel scans each distinct spec once, at its deepest level, and folds the
 # shallower levels (and the names too short to reach them) from that scan.
 # md5:32,16 has unequal moduli, so a row stride taken from the wrong level shows.
+# The last three give the generated loops unusual shapes: terms of modulus 1
+# over four levels, the widest and the narrowest md5 table, and one level only.
 DEEP = [
     ("letter", 4, lambda u: letter_placement(u, LetterConfig(4)), (37,) * 4),
     ("ascii-sum", (31, 33, 7),
      lambda u: ascii_sum_placement(u, AsciiSumConfig((31, 33, 7))), (31, 33, 7)),
     ("md5", (64, 64, 128), lambda u: md5_placement(u, Md5Config()), (64, 64, 128)),
     ("md5", (32, 16), lambda u: md5_placement(u, Md5Config((32, 16))), (32, 16)),
+    ("ascii-sum", (1, 5, 1, 3),
+     lambda u: ascii_sum_placement(u, AsciiSumConfig((1, 5, 1, 3))), (1, 5, 1, 3)),
+    ("md5", (256, 2, 3), lambda u: md5_placement(u, Md5Config((256, 2, 3))), (256, 2, 3)),
+    ("letter", 1, lambda u: letter_placement(u, LetterConfig(1)), (37,)),
 ]
 DEEP_PAIRS = [(name, payload, level) for name, payload, _, moduli in DEEP
               for level in range(len(moduli))]
@@ -257,7 +263,7 @@ def _check_every_level(path, data: bytes, pairs, threads: int) -> None:
     path.write_bytes(data)
     names, rejects = oracle(data)
     with mock.patch.dict(os.environ, {"SHARDBENCH_THREADS": str(threads)}):
-        histograms, scanned_rejects = cli._scan(str(path), pairs)
+        histograms, scanned_rejects = scan._scan(str(path), pairs)
     assert scanned_rejects == rejects
     by_spec = {(name, payload): (placement_fn, moduli)
                for name, payload, placement_fn, moduli in DEEP}
@@ -290,15 +296,15 @@ def test_a_spec_is_folded_only_down_to_its_shallowest_level(tmp_path, monkeypatc
     path = tmp_path / "names.txt"
     path.write_bytes(b"al\nbob\ncarol\n")
     folded = []
-    levels = cli._levels
+    levels = scan._levels
 
     def spy(*args):
         folded.append(levels(*args))
         return folded[-1]
 
-    monkeypatch.setattr(cli, "_levels", spy)
+    monkeypatch.setattr(scan, "_levels", spy)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1")
-    cli._scan(str(path), [("letter", 4, 3), ("letter", 4, 2), ("md5", (64, 64, 128), 1)])
+    scan._scan(str(path), [("letter", 4, 3), ("letter", 4, 2), ("md5", (64, 64, 128), 1)])
     assert [sorted(by_level) for by_level in folded] == [[2, 3], [1]]
 
 
@@ -306,7 +312,7 @@ def test_md5_tallies_no_names_below_its_deepest_level(tmp_path):
     path = tmp_path / "names.txt"
     path.write_bytes(b"al\nbob\ncarol\n")
     task = (str(path), 0, path.stat().st_size, [("md5", (64, 64, 128), 2)])
-    (tallies,), _, _ = cli._scan_chunk(task)
+    (tallies,), _, _ = scan._scan_chunk(task)
     assert [len(t) for t in tallies] == [0, 0, 64 * 64 * 128]
     assert sum(tallies[-1]) == 3
 
@@ -316,13 +322,13 @@ def test_compare_hashes_each_name_once_per_distinct_md5_spec(tmp_path, monkeypat
     path = tmp_path / "names.txt"
     path.write_bytes(b"\n".join(names) + b"\n")
     hashed = []
-    md5 = cli._md5
+    md5 = scan._md5
 
     def counting_md5(data):
         hashed.append(data)
         return md5(data)
 
-    monkeypatch.setattr(cli, "_md5", counting_md5)
+    monkeypatch.setattr(scan, "_md5", counting_md5)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1")
     argv = ["compare", str(path), "--strategy", "md5", "--strategy", "md5:64,64,128",
             "--strategy", "letter", "--level", "0", "--level", "1", "--level", "2"]
@@ -343,7 +349,7 @@ def test_ignored_threads_setting_acts_as_unset(tmp_path, monkeypatch, capsys, th
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setenv("SHARDBENCH_THREADS", threads)
-    (histogram,), rejects = cli._scan(str(path), [("md5", (64, 64, 128), 0)])
+    (histogram,), rejects = scan._scan(str(path), [("md5", (64, 64, 128), 0)])
     assert (histogram.total, rejects) == (4, [])
     capsys.readouterr()
 
@@ -356,7 +362,7 @@ def _pooled_corpus(tmp_path):
 
 def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypatch, capsys):
     path = _pooled_corpus(tmp_path)
-    scan_chunk = cli._scan_chunk
+    scan_chunk = scan._scan_chunk
 
     def failing(task, fails=lambda start: True):
         if fails(task[1]):
@@ -364,14 +370,14 @@ def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypa
         return scan_chunk(task)
 
     argv = ["analyze", str(path), "--strategy", "md5", "--level", "1"]
-    monkeypatch.setattr(cli, "_scan_chunk", failing)
+    monkeypatch.setattr(scan, "_scan_chunk", failing)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1")
     assert cli.main(argv) == cli.EXIT_IO
     serial = capsys.readouterr()
     assert serial.err == f"error: [Errno 5] Input/output error: '{path}'\n"
     # A forked child inherits the patch: only the workers' chunks fail, or only the parent's.
     for fails in (lambda start: start > 0, lambda start: start == 0):
-        monkeypatch.setattr(cli, "_scan_chunk", lambda task: failing(task, fails))
+        monkeypatch.setattr(scan, "_scan_chunk", lambda task: failing(task, fails))
         monkeypatch.setenv("SHARDBENCH_THREADS", "3")
         assert cli.main(argv) == cli.EXIT_IO
         assert capsys.readouterr() == ("", serial.err)
@@ -379,16 +385,16 @@ def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypa
 
 def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatch, capsys):
     path = _pooled_corpus(tmp_path)
-    scan_chunk = cli._scan_chunk
+    scan_chunk = scan._scan_chunk
 
     def vanishing(task):
         if task[1] > 0:
             os._exit(0)
         return scan_chunk(task)
 
-    monkeypatch.setattr(cli, "_scan_chunk", vanishing)
+    monkeypatch.setattr(scan, "_scan_chunk", vanishing)
     monkeypatch.setenv("SHARDBENCH_THREADS", "2")
-    _, (start, size) = cli._plan_chunks(str(path), 2)
+    _, (start, size) = scan._plan_chunks(str(path), 2)
     assert cli.main(["analyze", str(path), "--strategy", "md5"]) == cli.EXIT_IO
     assert capsys.readouterr() == ("", f"error: the worker scanning bytes {start}..{size} of "
                                        f"{path} exited without a result\n")
@@ -409,8 +415,8 @@ def test_the_parent_scans_the_first_chunk_and_forks_one_worker_per_other(
 
     monkeypatch.setattr(os, "fork", spy)
     monkeypatch.setenv("SHARDBENCH_THREADS", str(threads))
-    assert len(cli._plan_chunks(str(path), threads)) == threads
-    (histogram,), rejects = cli._scan(str(path), [("md5", (64, 64, 128), 1)])
+    assert len(scan._plan_chunks(str(path), threads)) == threads
+    (histogram,), rejects = scan._scan(str(path), [("md5", (64, 64, 128), 1)])
     assert len(forked) == threads - 1
     assert (histogram.total, rejects) == (400, [(401, "invalid character ' ' at position 3")])
 
@@ -419,7 +425,7 @@ def test_without_fork_the_scan_is_serial(tmp_path, monkeypatch):
     path = _pooled_corpus(tmp_path)
     monkeypatch.delattr(os, "fork")
     monkeypatch.setenv("SHARDBENCH_THREADS", "3")
-    (histogram,), rejects = cli._scan(str(path), [("md5", (64, 64, 128), 1)])
+    (histogram,), rejects = scan._scan(str(path), [("md5", (64, 64, 128), 1)])
     assert (histogram.total, rejects) == (400, [(401, "invalid character ' ' at position 3")])
 
 

@@ -61,3 +61,21 @@ def test_a_scan_split_across_workers_loads_no_pool_module(tmp_path):
     added = _loaded_by(f"from shardbench import cli\nassert cli.main({argv!r}) == 0",
                        SHARDBENCH_THREADS="2")
     assert not added & {"concurrent.futures", "multiprocessing", "pickle", "signal"}
+
+
+def test_only_the_scanning_verbs_load_the_kernel(tmp_path):
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("frank\n")
+    scanning = [
+        ["analyze", str(corpus), "--strategy", "md5"],
+        ["compare", str(corpus), "--strategy", "letter", "--strategy", "md5"],
+    ]
+    others = [
+        ["gen-corpus", "--model", "name-like", "--count", "1", "-o", str(tmp_path / "gen.txt")],
+        ["locate", "frank", "--strategy", "md5"],
+        ["check-fanout", "--strategy", "md5"],
+        ["mkdirs", "--strategy", "md5", "--moduli", "2,2", "--root", str(tmp_path / "tree")],
+    ]
+    for argv in scanning + others:
+        added = _loaded_by(f"from shardbench import cli\nassert cli.main({argv!r}) == 0")
+        assert ("shardbench.scan" in added) == (argv in scanning), argv[0]

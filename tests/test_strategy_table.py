@@ -1,8 +1,8 @@
-"""Design invariants: the CLI reads its strategies from one table, and
+"""Design invariants: the package reads its strategies from one table, and
 one module picks the MD5.
 
-Only the scan kernel's loop source, `_spec_loop`, may still branch on a
-strategy's name; every other function takes what it needs from the table.
+No function in any module branches on a strategy's name; each takes what it
+needs from the table, or from the config and its index rule.
 Only `strategies.py` imports an MD5 module; the rest take its `_md5`.
 """
 
@@ -14,7 +14,6 @@ from shardbench import cli
 PACKAGE = Path(cli.__file__).parent
 MD5_MODULES = {"hashlib", "_md5"}
 NAMES = {"letter", "ascii-sum", "mapping", "md5"}
-ALLOWED = {"_spec_loop"}
 
 
 def _names_in(node: ast.expr) -> bool:
@@ -31,8 +30,6 @@ def _name_switches(source: str) -> list[str]:
     for function in ast.walk(ast.parse(source)):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if function.name in ALLOWED:
-            continue
         for node in ast.walk(function):
             operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
             if any(map(_names_in, operands)):
@@ -40,8 +37,11 @@ def _name_switches(source: str) -> list[str]:
     return sorted(set(sites))
 
 
-def test_only_the_kernel_switches_on_strategy_names():
-    assert _name_switches(Path(cli.__file__).read_text(encoding="utf-8")) == []
+def test_no_function_switches_on_strategy_names():
+    sites = {path.name: _name_switches(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert "scan.py" in sites
+    assert {name: found for name, found in sites.items() if found} == {}
 
 
 def test_the_check_sees_a_switch():
