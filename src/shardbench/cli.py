@@ -34,7 +34,6 @@ from .stats import (  # noqa: F401
     joint_bucket_count,
 )
 from .strategies import (
-    CONFIGS,
     AsciiSumConfig,
     LetterConfig,
     MappingConfig,
@@ -85,17 +84,16 @@ def _parse_mapping(text: str) -> tuple[int, ...]:
 class _Strategy(NamedTuple):
     """What the verbs know of one strategy; each reads it here, not from its name.
 
-    A strategy's payload is what its config, strategies.CONFIGS[name], is
-    built from: an int for letter, a tuple otherwise. `default` is the
-    payload its config class defaults to. `flag` is the --levels/--moduli
-    flag that carries the payload; it is None for mapping, which is keyed
-    by counter ID, not by username. `parse` turns spec or flag text into a
-    payload. `place` and `path` give a name's placement and storage path,
+    `config` makes the strategy's config from what `parse` makes of spec or
+    flag text, and with no argument gives the config class's defaults.
+    `flag` is the --levels/--moduli flag that carries the text; it is None
+    for mapping, which is keyed by counter ID, not by username, and has no
+    defaults. `place` and `path` give a name's placement and storage path,
     for the strategies with a directory layout.
     """
 
     name: str
-    default: object
+    config: Callable
     flag: str | None
     parse: Callable
     place: Callable | None = None
@@ -103,36 +101,34 @@ class _Strategy(NamedTuple):
 
 
 _STRATEGIES = {strategy.name: strategy for strategy in (
-    _Strategy("letter", LetterConfig().levels, "levels", _parse_depth,
+    _Strategy("letter", LetterConfig, "levels", _parse_depth,
               letter_placement, lambda u, cfg, root: letter_path(u, root, cfg.levels)),
-    _Strategy("ascii-sum", AsciiSumConfig().level_moduli, "moduli", _parse_moduli),
-    _Strategy("mapping", None, None, _parse_mapping),
-    _Strategy("md5", Md5Config().level_moduli, "moduli", _parse_moduli, md5_placement, md5_path),
+    _Strategy("ascii-sum", AsciiSumConfig, "moduli", _parse_moduli),
+    _Strategy("mapping", lambda parts: MappingConfig(*parts), None, _parse_mapping),
+    _Strategy("md5", Md5Config, "moduli", _parse_moduli, md5_placement, md5_path),
 )}
 
 
-def _config(name: str, payload):
-    """Rebuild a strategy config from its picklable payload; bad values are usage errors."""
+def _config(strategy: _Strategy, text):
+    """The config spec or flag text gives; no text (but a depth of 0 is text) gives the defaults.
+
+    Text that does not parse, and values the config refuses, are usage errors.
+    """
     try:
-        return CONFIGS[name](payload)
+        if text in (None, "") and strategy.flag is not None:
+            return strategy.config()
+        return strategy.config(strategy.parse(text))
     except ValueError as exc:
-        raise UsageError(f"bad {name} config: {exc}") from None
+        raise UsageError(f"bad {strategy.name} config: {exc}") from None
 
 
-def _payload(strategy: _Strategy, text):
-    """The payload spec or flag text gives; no text gives the config class's defaults."""
-    if text in (None, "") and strategy.default is not None:
-        return strategy.default
-    return strategy.parse(text)
-
-
-def _flag_payload(args) -> tuple[_Strategy, object]:
-    """--strategy's record and the payload its flag gives; the other flag is an error."""
+def _flag_text(args) -> tuple[_Strategy, object]:
+    """--strategy's record and its flag's text; the other flag is an error."""
     strategy = _STRATEGIES[args.strategy]
     for flag in ("levels", "moduli"):
         if flag != strategy.flag and getattr(args, flag) not in (None, ""):
             raise UsageError(f"--{flag} does not apply to the {strategy.name} strategy")
-    return strategy, _payload(strategy, getattr(args, strategy.flag))
+    return strategy, getattr(args, strategy.flag)
 
 
 def _parse_ids(text: str) -> range:
@@ -154,22 +150,6 @@ def _report_rejects(rejects: list[tuple[int, str]]) -> None:
             batch = rejects[i:i + _REJECTS_PER_WRITE]
             sys.stderr.write("".join(f"line {n}: {reason}\n" for n, reason in batch))
         print(f"{len(rejects)} lines rejected", file=sys.stderr)
-
-
-def _scan_corpus(
-    path: str,
-    name: str,
-    payload,
-    level: int,
-    report_rejects: bool,
-) -> Histogram:
-    """Histogram a corpus file for one strategy at one level."""
-    from . import scan  # here, not at module level: only the scanning verbs compile the kernel
-
-    (histogram,), rejects = scan._scan(path, [(name, payload, level)])
-    if report_rejects:
-        _report_rejects(rejects)
-    return histogram
 
 
 # --- report emission --------------------------------------------------------
@@ -318,12 +298,15 @@ def _cmd_analyze(args) -> int:
             raise UsageError("--ids/--bucket-size/--servers only apply to the mapping strategy")
         if args.corpus is None:
             raise UsageError(f"the {args.strategy} strategy requires a corpus file")
-        strategy, payload = _flag_payload(args)
-        moduli = _config(args.strategy, payload).level_moduli
-        if not 0 <= args.level < len(moduli):
-            raise UsageError(f"level {args.level} outside 0..{len(moduli) - 1}")
-        echo = {strategy.flag: list(payload) if isinstance(payload, tuple) else payload}
-        histogram = _scan_corpus(args.corpus, args.strategy, payload, args.level, True)
+        strategy, text = _flag_text(args)
+        cfg = _config(strategy, text)
+        if not 0 <= args.level < len(cfg.level_moduli):
+            raise UsageError(f"level {args.level} outside 0..{len(cfg.level_moduli) - 1}")
+        echo = {strategy.flag: cfg._values()[0]}  # a username config's one field
+        from . import scan  # here, not at module level: only the scanning verbs compile the kernel
+
+        (histogram,), rejects = scan._scan(args.corpus, [(cfg, args.level)])
+        _report_rejects(rejects)
     if histogram.total == 0:
         print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
         return EXIT_EMPTY
@@ -340,19 +323,17 @@ def _parse_strategy_spec(spec: str) -> tuple[_Strategy, object]:
     strategy = _STRATEGIES.get(name)
     if strategy is None:
         raise UsageError(f"unknown strategy {name!r} in spec {spec!r}")
-    payload = _payload(strategy, text)
-    _config(name, payload)
-    return strategy, payload
+    return strategy, _config(strategy, text)
 
 
 def _compare_steps(specs, levels: list[int], ids: str | None):
-    """compare's (level, strategy, payload, note) steps in report order; a note replaces a row.
+    """compare's (level, strategy, config, note) steps in report order; a note replaces a row.
 
     A step whose row would fail raises here, so a caller that collects the
     steps before scanning can replay everything up to the failure first.
     """
     for level in levels:
-        for strategy, payload in specs:
+        for strategy, config in specs:
             note = None
             if strategy.flag is None:
                 if ids is None:
@@ -361,14 +342,14 @@ def _compare_steps(specs, levels: list[int], ids: str | None):
                     note = f"skipping mapping at level {level} (only level 0 exists)"
                 else:
                     _parse_ids(ids)
-                    joint_bucket_count((payload[1],), 0)  # one dense slot per server
+                    joint_bucket_count((config.num_servers,), 0)  # one dense slot per server
             else:
-                moduli = _config(strategy.name, payload).level_moduli
+                moduli = config.level_moduli
                 if level >= len(moduli):
                     note = f"skipping {strategy.name} at level {level} (depth {len(moduli)})"
                 else:
                     joint_bucket_count(moduli, level)
-            yield level, strategy, payload, note
+            yield level, strategy, config, note
 
 
 def _cmd_compare(args) -> int:
@@ -383,18 +364,17 @@ def _cmd_compare(args) -> int:
             steps.append(step)
     except (UsageError, ShardbenchError) as exc:
         error = exc
-    scans = [(strategy.name, payload, level) for level, strategy, payload, note in steps
+    scans = [(config, level) for level, strategy, config, note in steps
              if note is None and strategy.flag is not None]
     scanned = None
     rows = []
-    for level, strategy, payload, note in steps:
+    for level, strategy, config, note in steps:
         if note is not None:
             print(f"note: {note}", file=sys.stderr)
             continue
         if strategy.flag is None:
-            cfg = _config(strategy.name, payload)
-            histogram = build_mapping_histogram(_parse_ids(args.ids), cfg)
-            label = f"{strategy.name}[{payload[0]},{payload[1]}]"
+            histogram = build_mapping_histogram(_parse_ids(args.ids), config)
+            label = f"{strategy.name}[{config.bucket_size},{config.num_servers}]"
         else:
             if scanned is None:  # one pass over the corpus serves every scanned step
                 from . import scan  # likewise
@@ -448,8 +428,8 @@ def _cmd_locate(args) -> int:
     except ShardbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    strategy, payload = _flag_payload(args)
-    cfg = _config(args.strategy, payload)
+    strategy, text = _flag_text(args)
+    cfg = _config(strategy, text)
     print(" ".join(str(bucket) for bucket, _ in strategy.place(name, cfg).levels))
     print(strategy.path(name, cfg, args.root).render())
     return EXIT_OK
@@ -457,11 +437,13 @@ def _cmd_locate(args) -> int:
 
 def _fanout(args) -> FanoutReport:
     """The fan-out report of --strategy's layout; raw --moduli may pass Md5Config's 256 cap."""
-    strategy, payload = _flag_payload(args)
-    if strategy.flag != "moduli":
-        payload = _config(args.strategy, payload).level_moduli
+    strategy, text = _flag_text(args)
+    if strategy.flag == "moduli" and text:
+        moduli = strategy.parse(text)
+    else:
+        moduli = _config(strategy, text).level_moduli
     try:
-        return fanout_report(payload, args.limit)
+        return fanout_report(moduli, args.limit)
     except ValueError as exc:  # a modulus below 1
         raise UsageError(f"bad {strategy.name} config: {exc}") from None
 

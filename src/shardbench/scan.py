@@ -1,4 +1,4 @@
-"""The scan kernel: every (strategy, payload, level) histogram of a corpus file in one pass.
+"""The scan kernel: every (config, level) histogram of a corpus file in one pass.
 
 Only the verbs that scan a corpus, analyze and compare, import this module.
 """
@@ -14,7 +14,7 @@ from typing import Callable
 
 from .corpus import NAME_END, read_names
 from .stats import Histogram, joint_bucket_count
-from .strategies import CONFIGS, _md5
+from .strategies import _md5
 
 _PARALLEL_MIN_BYTES = 4 << 20
 _MAX_AUTO_WORKERS = 8
@@ -68,14 +68,14 @@ def _build_loop(config, level: int) -> tuple[Callable[[list[bytes]], None], list
     return space["loop"], tallies
 
 
-def _scan_chunk(task) -> tuple[list[list[list[int]]], list[tuple[int, str]], int]:
-    """One pass over a byte range: the dense tallies of each (name, payload, level) spec.
+def _scan_chunk(path: str, start: int, end: int,
+                specs) -> tuple[list[list[list[int]]], list[tuple[int, str]], int]:
+    """One pass over a byte range: the dense tallies of each (config, level) spec.
 
     Also returns the rejected lines, numbered from 1 at the range's start,
     and the number of lines in the range.
     """
-    path, start, end, specs = task
-    loops = [_build_loop(CONFIGS[name](payload), level) for name, payload, level in specs]
+    loops = [_build_loop(config, level) for config, level in specs]
     rejects: list[tuple[int, str]] = []
     reader = read_names(path, lambda n, r: rejects.append((n, r)), start, end)
     try:
@@ -149,24 +149,24 @@ def _worker_count() -> int:
 
 
 def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
-    """Histogram a corpus file once for every (name, payload, level) pair.
+    """Histogram a corpus file once for every (config, level) pair.
 
-    Scans each distinct (name, payload) spec once, at its deepest level,
-    and folds it down to its shallowest. Returns the histograms, in pair
-    order, and every rejected line as (line_number, reason).
+    Scans each distinct config, a spec, once at its deepest level, and
+    folds it down to its shallowest; configs compare by value. Returns the
+    histograms, in pair order, and every rejected line as (line_number, reason).
     """
-    spans: dict[tuple[str, object], tuple[int, int]] = {}  # (shallowest, deepest) level
-    for name, payload, level in pairs:
-        low, high = spans.get((name, payload), (level, level))
-        spans[name, payload] = min(low, level), max(high, level)
-    tallies, rejects = _scan_specs(path, [(*spec, high) for spec, (_, high) in spans.items()])
-    levels = {(name, payload): _levels(spec_tallies, CONFIGS[name](payload).level_moduli, low)
-              for ((name, payload), (low, _)), spec_tallies in zip(spans.items(), tallies)}
-    return [levels[name, payload][level] for name, payload, level in pairs], rejects
+    spans: dict[object, tuple[int, int]] = {}  # (shallowest, deepest) level
+    for config, level in pairs:
+        low, high = spans.get(config, (level, level))
+        spans[config] = min(low, level), max(high, level)
+    tallies, rejects = _scan_specs(path, [(config, high) for config, (_, high) in spans.items()])
+    levels = {config: _levels(spec_tallies, config.level_moduli, low)
+              for (config, (low, _)), spec_tallies in zip(spans.items(), tallies)}
+    return [levels[config][level] for config, level in pairs], rejects
 
 
 def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int, str]]]:
-    """The tallies of every (name, payload, level) spec over a corpus file, and its rejects.
+    """The tallies of every (config, level) spec over a corpus file, and its rejects.
 
     Splits the file into chunks when worthwhile: a forked child scans each
     chunk but the first, which this process scans meanwhile. The per-chunk
@@ -180,8 +180,8 @@ def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int
     children: list[tuple[int, int, tuple[int, int]]] = []  # (pid, read end, chunk)
     try:
         for chunk in rest:
-            children.append((*_fork_chunk((path, *chunk, specs)), chunk))
-        tallies, rejects, lines_before = _scan_chunk((path, *first, specs))
+            children.append((*_fork_chunk(path, *chunk, specs), chunk))
+        tallies, rejects, lines_before = _scan_chunk(path, *first, specs)
         for pid, read_end, (start, end) in children:
             with open(read_end, "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -212,14 +212,14 @@ def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int
     return tallies, rejects
 
 
-def _fork_chunk(task) -> tuple[int, int]:
+def _fork_chunk(path: str, start: int, end: int, specs) -> tuple[int, int]:
     """Fork a child that scans one chunk and writes its result to a pipe: (pid, read end).
 
-    The child writes the marshalled result of _scan_chunk(task), with each
-    tally sent sparse, as (indices, counts) of its nonzero buckets, or if
-    that raises, the pickled exception. It leaves by os._exit: it never
-    returns, never flushes the stdio buffers it inherited and never runs
-    exit handlers.
+    The child writes the marshalled result of _scan_chunk() on the chunk,
+    with each tally sent sparse, as (indices, counts) of its nonzero
+    buckets, or if that raises, the pickled exception. It leaves by
+    os._exit: it never returns, never flushes the stdio buffers it
+    inherited and never runs exit handlers.
     """
     read_end, write_end = os.pipe()
     try:
@@ -234,7 +234,7 @@ def _fork_chunk(task) -> tuple[int, int]:
     try:
         os.close(read_end)  # so the write fails, not blocks, once the parent closes its end
         try:
-            tallies, rejects, lines = _scan_chunk(task)
+            tallies, rejects, lines = _scan_chunk(path, start, end, specs)
             sparse = [[(list(compress(range(len(t)), t)), list(filter(None, t))) for t in spec]
                       for spec in tallies]
             payload = marshal.dumps((sparse, rejects, lines))

@@ -96,16 +96,6 @@ class Md5Config(_Record):
         self._fill(tuple(level_moduli))
 
 
-# Each strategy's config, built from its payload (the depth for letter, a
-# tuple otherwise), by the name the CLI and the scan kernel give it.
-CONFIGS = {
-    "letter": LetterConfig,
-    "ascii-sum": AsciiSumConfig,
-    "mapping": lambda payload: MappingConfig(*payload),
-    "md5": Md5Config,
-}
-
-
 def letter_placement(u: Username, cfg: LetterConfig = LetterConfig()) -> Placement:
     """Bucket by successive characters; depth truncates to the name length."""
     depth = min(cfg.levels, len(u))

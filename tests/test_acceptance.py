@@ -147,7 +147,7 @@ def test_criterion_07_injectivity():
 
 def test_criterion_08_oracle_equivalence(tmp_path, monkeypatch):
     with _report(8, "streamed and parallel histograms match naive recounting everywhere"):
-        from shardbench.cli import _scan_corpus
+        from shardbench import scan
 
         names = list(generate_corpus(CorpusSpec("name_like", 1_000, 21)))
         path = tmp_path / "names.txt"
@@ -158,11 +158,11 @@ def test_criterion_08_oracle_equivalence(tmp_path, monkeypatch):
         cases = [
             # Dense joint arrays cap at 2^21 buckets, which bounds the letter
             # strategy to levels 0..3 (37^5 is already ~69M).
-            ("letter", 6, lambda u: letter_placement(u, letter_cfg), (37,) * 6, range(4)),
-            ("ascii-sum", (31, 33), lambda u: ascii_sum_placement(u, ascii_cfg), (31, 33), range(2)),
-            ("md5", (64, 64, 128), lambda u: md5_placement(u, md5_cfg), (64, 64, 128), range(3)),
+            (letter_cfg, lambda u: letter_placement(u, letter_cfg), (37,) * 6, range(4)),
+            (ascii_cfg, lambda u: ascii_sum_placement(u, ascii_cfg), (31, 33), range(2)),
+            (md5_cfg, lambda u: md5_placement(u, md5_cfg), (64, 64, 128), range(3)),
         ]
-        for cli_name, payload, placement_fn, moduli, levels in cases:
+        for cfg, placement_fn, moduli, levels in cases:
             for level in levels:
                 naive: dict[tuple[int, ...], int] = {}
                 skipped = 0
@@ -187,7 +187,7 @@ def test_criterion_08_oracle_equivalence(tmp_path, monkeypatch):
                 streamed = build_histogram(names, placement_fn, moduli, level)
                 assert streamed.counts == expected
                 assert streamed.skipped == skipped
-                parallel = _scan_corpus(str(path), cli_name, payload, level, False)
+                (parallel,), _ = scan._scan(str(path), [(cfg, level)])
                 assert parallel.counts == expected
                 assert parallel.total == streamed.total
                 assert parallel.skipped == skipped

@@ -51,6 +51,10 @@ def test_compare_stderr_is_pinned(dirty_path, threads, monkeypatch, capsys):
     ["analyze", "{corpus}", "--strategy", "md5", "--moduli", "300"],
     ["locate", "frank", "--strategy", "letter", "--levels", "9"],
     ["check-fanout", "--strategy", "letter", "--levels", "9"],
+    # A depth of 0 is text, not a missing flag: it must not fall back to the 6-level default.
+    ["analyze", "{corpus}", "--strategy", "letter", "--levels", "0"],
+    ["compare", "{corpus}", "--strategy", "letter:0", "--strategy", "md5"],
+    ["check-fanout", "--strategy", "letter", "--levels", "0"],
 ])
 def test_bad_strategy_config_is_a_usage_error(dirty_path, argv, capsys):
     assert main([arg.format(corpus=dirty_path) for arg in argv]) == EXIT_USAGE

@@ -25,13 +25,13 @@ from shardbench.strategies import (
     md5_placement,
 )
 
-# (cli name, payload, per-name placement, level moduli) for every username strategy.
+# (config, per-name placement, level moduli) for every username strategy.
 STRATEGIES = [
-    ("letter", 6, lambda u: letter_placement(u, LetterConfig(6)), (37,) * 6),
-    ("ascii-sum", (31, 33), lambda u: ascii_sum_placement(u, AsciiSumConfig()), (31, 33)),
-    ("md5", (64, 64, 128), lambda u: md5_placement(u, Md5Config()), (64, 64, 128)),
+    (LetterConfig(6), lambda u: letter_placement(u, LetterConfig(6)), (37,) * 6),
+    (AsciiSumConfig(), lambda u: ascii_sum_placement(u, AsciiSumConfig()), (31, 33)),
+    (Md5Config(), lambda u: md5_placement(u, Md5Config()), (64, 64, 128)),
 ]
-PAIRS = [(name, payload, level) for name, payload, _, _ in STRATEGIES for level in (0, 1)]
+PAIRS = [(config, level) for config, _, _ in STRATEGIES for level in (0, 1)]
 
 # \x1f and NEL (\xc2\x85) are whitespace only once decoded; \x00 never is.
 _PADDING = [b"", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"\xc2\xa0",
@@ -83,12 +83,12 @@ def _check_kernel(path, data: bytes, threads: int) -> None:
     with mock.patch.dict(os.environ, {"SHARDBENCH_THREADS": str(threads)}):
         histograms, scanned_rejects = scan._scan(str(path), PAIRS)
     assert scanned_rejects == rejects
-    by_name = {name: (placement_fn, moduli) for name, _, placement_fn, moduli in STRATEGIES}
-    for (name, _, level), histogram in zip(PAIRS, histograms):
-        placement_fn, moduli = by_name[name]
+    by_config = {config: (placement_fn, moduli) for config, placement_fn, moduli in STRATEGIES}
+    for (config, level), histogram in zip(PAIRS, histograms):
+        placement_fn, moduli = by_config[config]
         expected = build_histogram(names, placement_fn, moduli, level)
         assert (histogram.counts, histogram.total, histogram.skipped) == \
-            (expected.counts, expected.total, expected.skipped), (name, level)
+            (expected.counts, expected.total, expected.skipped), (config, level)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -238,19 +238,18 @@ def test_pooled_reject_line_numbers_count_from_the_file_start(tmp_path, monkeypa
 # The last three give the generated loops unusual shapes: terms of modulus 1
 # over four levels, the widest and the narrowest md5 table, and one level only.
 DEEP = [
-    ("letter", 4, lambda u: letter_placement(u, LetterConfig(4)), (37,) * 4),
-    ("ascii-sum", (31, 33, 7),
+    (LetterConfig(4), lambda u: letter_placement(u, LetterConfig(4)), (37,) * 4),
+    (AsciiSumConfig((31, 33, 7)),
      lambda u: ascii_sum_placement(u, AsciiSumConfig((31, 33, 7))), (31, 33, 7)),
-    ("md5", (64, 64, 128), lambda u: md5_placement(u, Md5Config()), (64, 64, 128)),
-    ("md5", (32, 16), lambda u: md5_placement(u, Md5Config((32, 16))), (32, 16)),
-    ("ascii-sum", (1, 5, 1, 3),
+    (Md5Config(), lambda u: md5_placement(u, Md5Config()), (64, 64, 128)),
+    (Md5Config((32, 16)), lambda u: md5_placement(u, Md5Config((32, 16))), (32, 16)),
+    (AsciiSumConfig((1, 5, 1, 3)),
      lambda u: ascii_sum_placement(u, AsciiSumConfig((1, 5, 1, 3))), (1, 5, 1, 3)),
-    ("md5", (256, 2, 3), lambda u: md5_placement(u, Md5Config((256, 2, 3))), (256, 2, 3)),
-    ("letter", 1, lambda u: letter_placement(u, LetterConfig(1)), (37,)),
+    (Md5Config((256, 2, 3)), lambda u: md5_placement(u, Md5Config((256, 2, 3))), (256, 2, 3)),
+    (LetterConfig(1), lambda u: letter_placement(u, LetterConfig(1)), (37,)),
 ]
-DEEP_PAIRS = [(name, payload, level) for name, payload, _, moduli in DEEP
-              for level in range(len(moduli))]
-DEEP_PAIRS += [("md5", (64, 64, 128), level) for level in range(3)]
+DEEP_PAIRS = [(config, level) for config, _, moduli in DEEP for level in range(len(moduli))]
+DEEP_PAIRS += [(Md5Config(), level) for level in range(3)]
 # Names of 1..5 characters, so some stop short of each level, among dirty lines.
 DEEP_FILES = st.lists(
     st.one_of(st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=5)
@@ -265,13 +264,12 @@ def _check_every_level(path, data: bytes, pairs, threads: int) -> None:
     with mock.patch.dict(os.environ, {"SHARDBENCH_THREADS": str(threads)}):
         histograms, scanned_rejects = scan._scan(str(path), pairs)
     assert scanned_rejects == rejects
-    by_spec = {(name, payload): (placement_fn, moduli)
-               for name, payload, placement_fn, moduli in DEEP}
-    for (name, payload, level), histogram in zip(pairs, histograms):
-        placement_fn, moduli = by_spec[name, payload]
+    by_spec = {config: (placement_fn, moduli) for config, placement_fn, moduli in DEEP}
+    for (config, level), histogram in zip(pairs, histograms):
+        placement_fn, moduli = by_spec[config]
         expected = build_histogram(names, placement_fn, moduli, level)
         assert (histogram.counts, histogram.total, histogram.skipped) == \
-            (expected.counts, expected.total, expected.skipped), (name, payload, level)
+            (expected.counts, expected.total, expected.skipped), (config, level)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -304,15 +302,14 @@ def test_a_spec_is_folded_only_down_to_its_shallowest_level(tmp_path, monkeypatc
 
     monkeypatch.setattr(scan, "_levels", spy)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1")
-    scan._scan(str(path), [("letter", 4, 3), ("letter", 4, 2), ("md5", (64, 64, 128), 1)])
+    scan._scan(str(path), [(LetterConfig(4), 3), (LetterConfig(4), 2), (Md5Config(), 1)])
     assert [sorted(by_level) for by_level in folded] == [[2, 3], [1]]
 
 
 def test_md5_tallies_no_names_below_its_deepest_level(tmp_path):
     path = tmp_path / "names.txt"
     path.write_bytes(b"al\nbob\ncarol\n")
-    task = (str(path), 0, path.stat().st_size, [("md5", (64, 64, 128), 2)])
-    (tallies,), _, _ = scan._scan_chunk(task)
+    (tallies,), _, _ = scan._scan_chunk(str(path), 0, path.stat().st_size, [(Md5Config(), 2)])
     assert [len(t) for t in tallies] == [0, 0, 64 * 64 * 128]
     assert sum(tallies[-1]) == 3
 
@@ -349,7 +346,7 @@ def test_ignored_threads_setting_acts_as_unset(tmp_path, monkeypatch, capsys, th
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setenv("SHARDBENCH_THREADS", threads)
-    (histogram,), rejects = scan._scan(str(path), [("md5", (64, 64, 128), 0)])
+    (histogram,), rejects = scan._scan(str(path), [(Md5Config(), 0)])
     assert (histogram.total, rejects) == (4, [])
     capsys.readouterr()
 
@@ -364,10 +361,10 @@ def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypa
     path = _pooled_corpus(tmp_path)
     scan_chunk = scan._scan_chunk
 
-    def failing(task, fails=lambda start: True):
-        if fails(task[1]):
-            raise OSError(5, "Input/output error", task[0])
-        return scan_chunk(task)
+    def failing(path, start, end, specs, fails=lambda start: True):
+        if fails(start):
+            raise OSError(5, "Input/output error", path)
+        return scan_chunk(path, start, end, specs)
 
     argv = ["analyze", str(path), "--strategy", "md5", "--level", "1"]
     monkeypatch.setattr(scan, "_scan_chunk", failing)
@@ -377,7 +374,7 @@ def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypa
     assert serial.err == f"error: [Errno 5] Input/output error: '{path}'\n"
     # A forked child inherits the patch: only the workers' chunks fail, or only the parent's.
     for fails in (lambda start: start > 0, lambda start: start == 0):
-        monkeypatch.setattr(scan, "_scan_chunk", lambda task: failing(task, fails))
+        monkeypatch.setattr(scan, "_scan_chunk", lambda *chunk: failing(*chunk, fails))
         monkeypatch.setenv("SHARDBENCH_THREADS", "3")
         assert cli.main(argv) == cli.EXIT_IO
         assert capsys.readouterr() == ("", serial.err)
@@ -387,10 +384,10 @@ def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatc
     path = _pooled_corpus(tmp_path)
     scan_chunk = scan._scan_chunk
 
-    def vanishing(task):
-        if task[1] > 0:
+    def vanishing(path, start, end, specs):
+        if start > 0:
             os._exit(0)
-        return scan_chunk(task)
+        return scan_chunk(path, start, end, specs)
 
     monkeypatch.setattr(scan, "_scan_chunk", vanishing)
     monkeypatch.setenv("SHARDBENCH_THREADS", "2")
@@ -416,7 +413,7 @@ def test_the_parent_scans_the_first_chunk_and_forks_one_worker_per_other(
     monkeypatch.setattr(os, "fork", spy)
     monkeypatch.setenv("SHARDBENCH_THREADS", str(threads))
     assert len(scan._plan_chunks(str(path), threads)) == threads
-    (histogram,), rejects = scan._scan(str(path), [("md5", (64, 64, 128), 1)])
+    (histogram,), rejects = scan._scan(str(path), [(Md5Config(), 1)])
     assert len(forked) == threads - 1
     assert (histogram.total, rejects) == (400, [(401, "invalid character ' ' at position 3")])
 
@@ -425,7 +422,7 @@ def test_without_fork_the_scan_is_serial(tmp_path, monkeypatch):
     path = _pooled_corpus(tmp_path)
     monkeypatch.delattr(os, "fork")
     monkeypatch.setenv("SHARDBENCH_THREADS", "3")
-    (histogram,), rejects = scan._scan(str(path), [("md5", (64, 64, 128), 1)])
+    (histogram,), rejects = scan._scan(str(path), [(Md5Config(), 1)])
     assert (histogram.total, rejects) == (400, [(401, "invalid character ' ' at position 3")])
 
 

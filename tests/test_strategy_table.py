@@ -2,7 +2,8 @@
 one module picks the MD5.
 
 No function in any module branches on a strategy's name; each takes what it
-needs from the table, or from the config and its index rule.
+needs from the table, or from the config and its index rule. No module but
+`cli.py`, which holds the table, keys a dict by strategy names.
 Only `strategies.py` imports an MD5 module; the rest take its `_md5`.
 """
 
@@ -48,6 +49,34 @@ def test_the_check_sees_a_switch():
     source = ("def f(name):\n    if name in ('md5', 'x'):\n        pass\n"
               "    return 'letter' != name\n")
     assert _name_switches(source) == ["f:2", "f:4"]
+
+
+def _name_tables(source: str) -> list[int]:
+    """Lines of dict literals with two or more strategy-name keys.
+
+    One such key alone is not a table: the scan kernel's loop namespace
+    has the key "md5", naming the hash function.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            keys = [key.value for key in node.keys if isinstance(key, ast.Constant)]
+            if sum(key in NAMES for key in keys) >= 2:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_cli_keys_a_table_by_strategy_name():
+    tables = {path.name: _name_tables(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"}
+    assert "scan.py" in tables
+    assert {name: found for name, found in tables.items() if found} == {}
+
+
+def test_the_table_check_sees_a_table():
+    source = ("CONFIGS = {\n    'letter': A,\n    'md5': B,\n}\n"
+              "space = {'md5': md5, **{'c0': c0}}\n")
+    assert _name_tables(source) == [1]
 
 
 def _md5_imports(source: str) -> list[int]:
