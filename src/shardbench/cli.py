@@ -48,7 +48,6 @@ EXIT_IO = 3
 EXIT_EMPTY = 4
 EXIT_LIMIT = 5
 
-_REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
 _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
@@ -143,13 +142,14 @@ def _parse_ids(text: str) -> range:
 
 # --- corpus scanning -------------------------------------------------------
 
-def _report_rejects(rejects: list[tuple[int, str]]) -> None:
-    if rejects:
-        # A line-buffered stderr makes one write() per newline printed: join each batch.
-        for i in range(0, len(rejects), _REJECTS_PER_WRITE):
-            batch = rejects[i:i + _REJECTS_PER_WRITE]
-            sys.stderr.write("".join(f"line {n}: {reason}\n" for n, reason in batch))
-        print(f"{len(rejects)} lines rejected", file=sys.stderr)
+def _scan_corpus(path: str, pairs) -> list[Histogram]:
+    """Each (config, level) pair's histogram over a corpus; rejects go to stderr as found."""
+    from . import scan  # here, not at module level: only the scanning verbs compile the kernel
+
+    histograms, rejected = scan._scan(path, pairs, sys.stderr)
+    if rejected:
+        print(f"{rejected} lines rejected", file=sys.stderr)
+    return histograms
 
 
 # --- report emission --------------------------------------------------------
@@ -303,10 +303,7 @@ def _cmd_analyze(args) -> int:
         if not 0 <= args.level < len(cfg.level_moduli):
             raise UsageError(f"level {args.level} outside 0..{len(cfg.level_moduli) - 1}")
         echo = {strategy.flag: cfg._values()[0]}  # a username config's one field
-        from . import scan  # here, not at module level: only the scanning verbs compile the kernel
-
-        (histogram,), rejects = scan._scan(args.corpus, [(cfg, args.level)])
-        _report_rejects(rejects)
+        (histogram,) = _scan_corpus(args.corpus, [(cfg, args.level)])
     if histogram.total == 0:
         print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
         return EXIT_EMPTY
@@ -377,11 +374,7 @@ def _cmd_compare(args) -> int:
             label = f"{strategy.name}[{config.bucket_size},{config.num_servers}]"
         else:
             if scanned is None:  # one pass over the corpus serves every scanned step
-                from . import scan  # likewise
-
-                histograms, rejects = scan._scan(args.corpus, scans)
-                _report_rejects(rejects)
-                scanned = iter(histograms)
+                scanned = iter(_scan_corpus(args.corpus, scans))
             histogram = next(scanned)
             label = strategy.name
         if histogram.total == 0:

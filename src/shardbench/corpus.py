@@ -6,7 +6,7 @@ import bisect
 import random
 import sys
 from importlib import resources
-from typing import Callable, Generator, Iterator
+from typing import Callable, Iterator
 
 from .errors import ShardbenchError, SpaceExhausted
 from .model import ALPHABET, MAX_USERNAME_LENGTH, Username, _Record, normalize_username
@@ -125,7 +125,7 @@ def read_names(
     on_reject: Callable[[int, str], None] | None = None,
     start: int = 0,
     end: int | None = None,
-) -> Generator[list[bytes], None, int]:
+) -> Iterator[list[bytes]]:
     """Yield the valid names of each block of lines, in file order.
 
     Reads lines split on b"\\n" from byte offset `start` (the start of a
@@ -134,8 +134,7 @@ def read_names(
     normalize_username() does; undecodable and invalid lines are reported
     through on_reject(line_number, reason) and skipped, and blank lines are
     skipped silently. Every yielded list holds lowercased ASCII names, each
-    ending in NAME_END whether or not its line did. The generator returns
-    the number of lines it read.
+    ending in NAME_END whether or not its line did.
     """
     line_number = 1
     for block in _blocks(path, start, sys.maxsize if end is None else end):
@@ -164,7 +163,6 @@ def read_names(
         for index in sorted(dropped, reverse=True):
             del lines[index]
         yield lines
-    return line_number - 1
 
 
 def _blocks(path, start: int, end: int) -> Iterator[bytes]:

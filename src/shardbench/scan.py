@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import marshal
 import os
+import shutil
 import sys
+import tempfile
 from itertools import compress
 from operator import add
 from typing import Callable
@@ -19,6 +21,9 @@ from .strategies import _md5
 _PARALLEL_MIN_BYTES = 4 << 20
 _MAX_AUTO_WORKERS = 8
 _WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
+_REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
+_COUNT_BYTES = 1 << 20  # bytes read per newline count
+_COPY_CHARS = 1 << 16  # characters of a worker's reject report copied per write
 
 
 # Kernel loops: one per strategy spec, at the deepest level asked of it. Each
@@ -68,24 +73,46 @@ def _build_loop(config, level: int) -> tuple[Callable[[list[bytes]], None], list
     return space["loop"], tallies
 
 
-def _scan_chunk(path: str, start: int, end: int,
-                specs) -> tuple[list[list[list[int]]], list[tuple[int, str]], int]:
-    """One pass over a byte range: the dense tallies of each (config, level) spec.
+def _scan_chunk(path: str, start: int, end: int, specs,
+                report) -> tuple[list[list[list[int]]], int]:
+    """One pass over a byte range: each (config, level) spec's dense tallies, and its reject count.
 
-    Also returns the rejected lines, numbered from 1 at the range's start,
-    and the number of lines in the range.
+    Writes `line N: reason` for each rejected line to the text stream
+    `report` as it goes, N counted from the file's first line, in joined
+    batches of _REJECTS_PER_WRITE, and returns the number of rejected lines.
     """
     loops = [_build_loop(config, level) for config, level in specs]
-    rejects: list[tuple[int, str]] = []
-    reader = read_names(path, lambda n, r: rejects.append((n, r)), start, end)
-    try:
-        while True:
-            names = next(reader)
-            for loop, _ in loops:
-                loop(names)
-    except StopIteration as done:  # read_names returns its line count
-        lines = done.value
-    return [tallies for _, tallies in loops], rejects, lines
+    before = _lines_before(path, start)
+    batch: list[str] = []
+    written = 0
+
+    def reject(number: int, reason: str) -> None:
+        nonlocal written
+        batch.append(f"line {number + before}: {reason}\n")
+        if len(batch) == _REJECTS_PER_WRITE:  # a line-buffered stream writes once per newline
+            report.write("".join(batch))
+            written += len(batch)
+            batch.clear()
+
+    for names in read_names(path, reject, start, end):
+        for loop, _ in loops:
+            loop(names)
+    if batch:
+        report.write("".join(batch))
+    return [tallies for _, tallies in loops], written + len(batch)
+
+
+def _lines_before(path: str, offset: int) -> int:
+    """The lines that end in the file's first `offset` bytes."""
+    lines = 0
+    with open(path, "rb") as handle:
+        while offset > 0:
+            block = handle.read(min(_COUNT_BYTES, offset))
+            if not block:
+                break
+            lines += block.count(b"\n")
+            offset -= len(block)
+    return lines
 
 
 def _levels(tallies: list[list[int]], moduli: tuple[int, ...], lowest: int) -> dict[int, Histogram]:
@@ -148,41 +175,50 @@ def _worker_count() -> int:
     return _threads_setting() or min(os.cpu_count() or 1, _MAX_AUTO_WORKERS)
 
 
-def _scan(path: str, pairs) -> tuple[list[Histogram], list[tuple[int, str]]]:
+def _scan(path: str, pairs, report) -> tuple[list[Histogram], int]:
     """Histogram a corpus file once for every (config, level) pair.
 
     Scans each distinct config, a spec, once at its deepest level, and
-    folds it down to its shallowest; configs compare by value. Returns the
-    histograms, in pair order, and every rejected line as (line_number, reason).
+    folds it down to its shallowest; configs compare by value. Writes each
+    rejected line's `line N: reason` to the text stream `report` in file
+    order, as the scan goes. Returns the histograms, in pair order, and the
+    number of rejected lines.
     """
     spans: dict[object, tuple[int, int]] = {}  # (shallowest, deepest) level
     for config, level in pairs:
         low, high = spans.get(config, (level, level))
         spans[config] = min(low, level), max(high, level)
-    tallies, rejects = _scan_specs(path, [(config, high) for config, (_, high) in spans.items()])
+    tallies, rejected = _scan_specs(path, [(config, high) for config, (_, high) in spans.items()],
+                                    report)
     levels = {config: _levels(spec_tallies, config.level_moduli, low)
               for (config, (low, _)), spec_tallies in zip(spans.items(), tallies)}
-    return [levels[config][level] for config, level in pairs], rejects
+    return [levels[config][level] for config, level in pairs], rejected
 
 
-def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int, str]]]:
-    """The tallies of every (config, level) spec over a corpus file, and its rejects.
+def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
+    """The tallies of every (config, level) spec over a corpus file, and its reject count.
 
     Splits the file into chunks when worthwhile: a forked child scans each
-    chunk but the first, which this process scans meanwhile. The per-chunk
-    tallies are summed, and the rejects renumbered, in chunk order.
+    chunk but the first, which this process scans meanwhile, reporting its
+    rejects straight to `report`. Each child writes its report to its own
+    anonymous temp file, already numbered from the file's first line. The
+    per-chunk tallies are summed, and the reports copied, in chunk order.
     """
     if os.path.getsize(path) < _PARALLEL_MIN_BYTES:
         workers = _threads_setting() or 1  # serial unless the setting asks for workers
     else:
         workers = _worker_count()
     first, *rest = _plan_chunks(path, workers if hasattr(os, "fork") else 1)
+    reports: list = []  # one per worker; unlinked at creation, so none outlives the scan
     children: list[tuple[int, int, tuple[int, int]]] = []  # (pid, read end, chunk)
     try:
-        for chunk in rest:
-            children.append((*_fork_chunk(path, *chunk, specs), chunk))
-        tallies, rejects, lines_before = _scan_chunk(path, *first, specs)
-        for pid, read_end, (start, end) in children:
+        for _ in rest:
+            reports.append(tempfile.TemporaryFile("w+", encoding="utf-8",
+                                                  errors="surrogateescape", newline=""))
+        for chunk, chunk_report in zip(rest, reports):
+            children.append((*_fork_chunk(path, *chunk, specs, chunk_report), chunk))
+        tallies, rejected = _scan_chunk(path, *first, specs, report)
+        for (pid, read_end, (start, end)), chunk_report in zip(children, reports):
             with open(read_end, "rb", closefd=False) as pipe:
                 payload = pipe.read()
             try:
@@ -193,13 +229,14 @@ def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int
             if isinstance(result, bytes):  # the worker failed: raise what it raised
                 import pickle  # here, not at module level: only a failed worker needs it
                 raise pickle.loads(result)
-            partials, partial_rejects, lines = result
+            partials, partial_rejected = result
             for spec, partial in zip(tallies, partials):
                 for tally, (indices, counts) in zip(spec, partial):
                     for i, count in zip(indices, counts):
                         tally[i] += count
-            rejects += [(n + lines_before, reason) for n, reason in partial_rejects]
-            lines_before += lines
+            chunk_report.seek(0)
+            shutil.copyfileobj(chunk_report, report, _COPY_CHARS)
+            rejected += partial_rejected
     except BaseException:
         import signal  # likewise: only a failed scan stops its workers early
         for pid, _, _ in children:
@@ -209,15 +246,18 @@ def _scan_specs(path: str, specs) -> tuple[list[list[list[int]]], list[tuple[int
         for pid, read_end, _ in children:
             os.close(read_end)
             os.waitpid(pid, 0)
-    return tallies, rejects
+        for chunk_report in reports:
+            chunk_report.close()
+    return tallies, rejected
 
 
-def _fork_chunk(path: str, start: int, end: int, specs) -> tuple[int, int]:
+def _fork_chunk(path: str, start: int, end: int, specs, report) -> tuple[int, int]:
     """Fork a child that scans one chunk and writes its result to a pipe: (pid, read end).
 
-    The child writes the marshalled result of _scan_chunk() on the chunk,
-    with each tally sent sparse, as (indices, counts) of its nonzero
-    buckets, or if that raises, the pickled exception. It leaves by
+    The child writes its chunk's reject report to the text file `report`
+    and then the marshalled tallies and reject count of _scan_chunk() on
+    the chunk, with each tally sent sparse, as (indices, counts) of its
+    nonzero buckets, or if that raises, the pickled exception. It leaves by
     os._exit: it never returns, never flushes the stdio buffers it
     inherited and never runs exit handlers.
     """
@@ -234,10 +274,11 @@ def _fork_chunk(path: str, start: int, end: int, specs) -> tuple[int, int]:
     try:
         os.close(read_end)  # so the write fails, not blocks, once the parent closes its end
         try:
-            tallies, rejects, lines = _scan_chunk(path, start, end, specs)
+            tallies, rejected = _scan_chunk(path, start, end, specs, report)
+            report.flush()
             sparse = [[(list(compress(range(len(t)), t)), list(filter(None, t))) for t in spec]
                       for spec in tallies]
-            payload = marshal.dumps((sparse, rejects, lines))
+            payload = marshal.dumps((sparse, rejected))
         except BaseException as exc:
             import pickle
             payload = marshal.dumps(pickle.dumps(exc))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain, repeat
 from typing import Callable, Iterable
 
 from .errors import EmptyHistogram, LevelOutOfRange, ShapeMismatch, TooManyBuckets
@@ -122,7 +124,13 @@ def compute_stats(h: Histogram) -> DistributionStats:
         raise EmptyHistogram("histogram has no placed entries")
     bucket_count = h.bucket_count
     ideal_mean = h.total / bucket_count
-    variance = math.fsum((c - ideal_mean) ** 2 for c in h.counts) / bucket_count
+    # fsum is correctly rounded, so each distinct count's term can be added
+    # once per bucket holding it, in any order, and give the same bits.
+    counts = h.counts
+    groups = Counter(filter(None, counts))
+    groups[0] = counts.count(0)
+    terms = chain.from_iterable(repeat((c - ideal_mean) ** 2, n) for c, n in groups.items())
+    variance = math.fsum(terms) / bucket_count
     std_dev = math.sqrt(variance)
     return DistributionStats(ideal_mean, std_dev, std_dev / ideal_mean)
 

@@ -5,6 +5,7 @@ the terminal summary, so the gate can be read off a plain pytest run.
 Tolerances are pinned in the assertions themselves; nothing here is tunable.
 """
 
+import io
 from contextlib import contextmanager
 
 import _gate
@@ -187,7 +188,7 @@ def test_criterion_08_oracle_equivalence(tmp_path, monkeypatch):
                 streamed = build_histogram(names, placement_fn, moduli, level)
                 assert streamed.counts == expected
                 assert streamed.skipped == skipped
-                (parallel,), _ = scan._scan(str(path), [(cfg, level)])
+                (parallel,), _ = scan._scan(str(path), [(cfg, level)], io.StringIO())
                 assert parallel.counts == expected
                 assert parallel.total == streamed.total
                 assert parallel.skipped == skipped

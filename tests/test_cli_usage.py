@@ -88,7 +88,7 @@ def test_reject_report_is_pinned_past_one_write(tmp_path, monkeypatch, capsys):
     # More rejects than one batched write holds, so the batches must join seamlessly.
     path = tmp_path / "bad.txt"
     path.write_bytes(b"ok\n" + b"na me\n" * 5)
-    monkeypatch.setattr(cli, "_REJECTS_PER_WRITE", 2)
+    monkeypatch.setattr(scan, "_REJECTS_PER_WRITE", 2)
     assert main(["analyze", str(path), "--strategy", "md5", "--no-counts"]) == EXIT_OK
     err = capsys.readouterr().err
     assert err.startswith("".join(f"line {n}: invalid character ' ' at position 2\n"

@@ -1,10 +1,12 @@
 """The bytes-level scan kernel against the per-name oracle, and the shared reader."""
 
 import hashlib
+import io
 import os
 import string
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
@@ -15,7 +17,7 @@ from shardbench import cli, corpus, scan
 from shardbench.corpus import load_corpus, read_names
 from shardbench.errors import ShardbenchError
 from shardbench.model import normalize_username
-from shardbench.stats import build_histogram
+from shardbench.stats import build_histogram, compute_stats
 from shardbench.strategies import (
     AsciiSumConfig,
     LetterConfig,
@@ -72,6 +74,18 @@ def oracle(data: bytes):
     return names, rejects
 
 
+def report_text(rejects) -> str:
+    """(line_number, reason) rejects as the kernel reports them."""
+    return "".join(f"line {number}: {reason}\n" for number, reason in rejects)
+
+
+def scanned(path, pairs):
+    """scan._scan()'s histograms, report text and reject count for a corpus file."""
+    report = io.StringIO()
+    histograms, rejected = scan._scan(str(path), pairs, report)
+    return histograms, report.getvalue(), rejected
+
+
 @pytest.fixture(scope="module")
 def corpus_file(tmp_path_factory):
     return tmp_path_factory.mktemp("scan") / "names.txt"
@@ -81,8 +95,8 @@ def _check_kernel(path, data: bytes, threads: int) -> None:
     path.write_bytes(data)
     names, rejects = oracle(data)
     with mock.patch.dict(os.environ, {"SHARDBENCH_THREADS": str(threads)}):
-        histograms, scanned_rejects = scan._scan(str(path), PAIRS)
-    assert scanned_rejects == rejects
+        histograms, report, rejected = scanned(path, PAIRS)
+    assert (report, rejected) == (report_text(rejects), len(rejects))
     by_config = {config: (placement_fn, moduli) for config, placement_fn, moduli in STRATEGIES}
     for (config, level), histogram in zip(PAIRS, histograms):
         placement_fn, moduli = by_config[config]
@@ -226,9 +240,46 @@ def test_pooled_reject_line_numbers_count_from_the_file_start(tmp_path, monkeypa
     _, expected = oracle(path.read_bytes())
     monkeypatch.setenv("SHARDBENCH_THREADS", str(threads))
     assert len(scan._plan_chunks(str(path), threads)) == threads
-    _, rejects = scan._scan(str(path), PAIRS[:1])
-    assert rejects == expected
-    assert rejects[-1] == (371, "undecodable bytes")
+    _, report, rejected = scanned(path, PAIRS[:1])
+    assert (report, rejected) == (report_text(expected), len(expected))
+    assert report.endswith("line 371: undecodable bytes\n")
+
+
+def _dirty_in_every_chunk(tmp_path, chunks):
+    """A corpus whose every chunk holds rejects, blank lines and padded names; its oracle."""
+    lines = []
+    for number in range(1, 601):
+        lines.append(b"bad name" if number % 37 == 0 else b"" if number % 41 == 0
+                     else b"\xff" if number % 53 == 0 else b"  User%d\r" % number if number % 9 == 0
+                     else b"user%d" % number)
+    path = tmp_path / "names.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    data = path.read_bytes()
+    planned = scan._plan_chunks(str(path), chunks)
+    assert len(planned) == chunks
+    for start, end in planned:
+        chunk = data[start:end]
+        assert oracle(chunk)[1] and b"\n\n" in chunk, (start, end)
+    return path, oracle(data)
+
+
+@pytest.mark.parametrize("verb", ["analyze", "compare"])
+def test_stderr_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys, verb):
+    path, (names, rejects) = _dirty_in_every_chunk(tmp_path, 3)
+    expected = report_text(rejects) + f"{len(rejects)} lines rejected\n"
+    if verb == "analyze":
+        argv = ["analyze", str(path), "--strategy", "md5", "--level", "1", "--no-counts"]
+        histogram = build_histogram(names, lambda u: md5_placement(u, Md5Config()),
+                                    (64, 64, 128), 1)
+        expected += cli._stats_line(compute_stats(histogram), histogram.skipped) + "\n"
+    else:  # the note comes after the scan its level-0 steps set off
+        argv = ["compare", str(path), "--strategy", "letter:1", "--strategy", "md5",
+                "--level", "0", "--level", "1"]
+        expected += "note: skipping letter at level 1 (depth 1)\n"
+    for threads in (1, 2, 3):
+        monkeypatch.setenv("SHARDBENCH_THREADS", str(threads))
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err == expected, threads
 
 
 # Every level of seven deeper specs, with the md5 spec asked for twice: the
@@ -262,8 +313,8 @@ def _check_every_level(path, data: bytes, pairs, threads: int) -> None:
     path.write_bytes(data)
     names, rejects = oracle(data)
     with mock.patch.dict(os.environ, {"SHARDBENCH_THREADS": str(threads)}):
-        histograms, scanned_rejects = scan._scan(str(path), pairs)
-    assert scanned_rejects == rejects
+        histograms, report, rejected = scanned(path, pairs)
+    assert (report, rejected) == (report_text(rejects), len(rejects))
     by_spec = {config: (placement_fn, moduli) for config, placement_fn, moduli in DEEP}
     for (config, level), histogram in zip(pairs, histograms):
         placement_fn, moduli = by_spec[config]
@@ -302,14 +353,15 @@ def test_a_spec_is_folded_only_down_to_its_shallowest_level(tmp_path, monkeypatc
 
     monkeypatch.setattr(scan, "_levels", spy)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1")
-    scan._scan(str(path), [(LetterConfig(4), 3), (LetterConfig(4), 2), (Md5Config(), 1)])
+    scanned(path, [(LetterConfig(4), 3), (LetterConfig(4), 2), (Md5Config(), 1)])
     assert [sorted(by_level) for by_level in folded] == [[2, 3], [1]]
 
 
 def test_md5_tallies_no_names_below_its_deepest_level(tmp_path):
     path = tmp_path / "names.txt"
     path.write_bytes(b"al\nbob\ncarol\n")
-    (tallies,), _, _ = scan._scan_chunk(str(path), 0, path.stat().st_size, [(Md5Config(), 2)])
+    (tallies,), _ = scan._scan_chunk(str(path), 0, path.stat().st_size, [(Md5Config(), 2)],
+                                     io.StringIO())
     assert [len(t) for t in tallies] == [0, 0, 64 * 64 * 128]
     assert sum(tallies[-1]) == 3
 
@@ -346,8 +398,8 @@ def test_ignored_threads_setting_acts_as_unset(tmp_path, monkeypatch, capsys, th
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setenv("SHARDBENCH_THREADS", threads)
-    (histogram,), rejects = scan._scan(str(path), [(Md5Config(), 0)])
-    assert (histogram.total, rejects) == (4, [])
+    (histogram,), report, rejected = scanned(path, [(Md5Config(), 0)])
+    assert (histogram.total, report, rejected) == (4, "", 0)
     capsys.readouterr()
 
 
@@ -357,14 +409,23 @@ def _pooled_corpus(tmp_path):
     return path
 
 
+def _temp_dir(tmp_path, monkeypatch):
+    """An empty directory that tempfile makes its files in from now on."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    return temp
+
+
 def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypatch, capsys):
     path = _pooled_corpus(tmp_path)
+    temp = _temp_dir(tmp_path, monkeypatch)
     scan_chunk = scan._scan_chunk
 
-    def failing(path, start, end, specs, fails=lambda start: True):
+    def failing(path, start, end, specs, report, fails=lambda start: True):
         if fails(start):
             raise OSError(5, "Input/output error", path)
-        return scan_chunk(path, start, end, specs)
+        return scan_chunk(path, start, end, specs, report)
 
     argv = ["analyze", str(path), "--strategy", "md5", "--level", "1"]
     monkeypatch.setattr(scan, "_scan_chunk", failing)
@@ -378,16 +439,18 @@ def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypa
         monkeypatch.setenv("SHARDBENCH_THREADS", "3")
         assert cli.main(argv) == cli.EXIT_IO
         assert capsys.readouterr() == ("", serial.err)
+        assert list(temp.iterdir()) == []
 
 
 def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatch, capsys):
     path = _pooled_corpus(tmp_path)
+    temp = _temp_dir(tmp_path, monkeypatch)
     scan_chunk = scan._scan_chunk
 
-    def vanishing(path, start, end, specs):
+    def vanishing(path, start, end, specs, report):
         if start > 0:
             os._exit(0)
-        return scan_chunk(path, start, end, specs)
+        return scan_chunk(path, start, end, specs, report)
 
     monkeypatch.setattr(scan, "_scan_chunk", vanishing)
     monkeypatch.setenv("SHARDBENCH_THREADS", "2")
@@ -395,6 +458,7 @@ def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatc
     assert cli.main(["analyze", str(path), "--strategy", "md5"]) == cli.EXIT_IO
     assert capsys.readouterr() == ("", f"error: the worker scanning bytes {start}..{size} of "
                                        f"{path} exited without a result\n")
+    assert list(temp.iterdir()) == []
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
@@ -413,17 +477,19 @@ def test_the_parent_scans_the_first_chunk_and_forks_one_worker_per_other(
     monkeypatch.setattr(os, "fork", spy)
     monkeypatch.setenv("SHARDBENCH_THREADS", str(threads))
     assert len(scan._plan_chunks(str(path), threads)) == threads
-    (histogram,), rejects = scan._scan(str(path), [(Md5Config(), 1)])
+    (histogram,), report, rejected = scanned(path, [(Md5Config(), 1)])
     assert len(forked) == threads - 1
-    assert (histogram.total, rejects) == (400, [(401, "invalid character ' ' at position 3")])
+    assert (histogram.total, report, rejected) == \
+        (400, "line 401: invalid character ' ' at position 3\n", 1)
 
 
 def test_without_fork_the_scan_is_serial(tmp_path, monkeypatch):
     path = _pooled_corpus(tmp_path)
     monkeypatch.delattr(os, "fork")
     monkeypatch.setenv("SHARDBENCH_THREADS", "3")
-    (histogram,), rejects = scan._scan(str(path), [(Md5Config(), 1)])
-    assert (histogram.total, rejects) == (400, [(401, "invalid character ' ' at position 3")])
+    (histogram,), report, rejected = scanned(path, [(Md5Config(), 1)])
+    assert (histogram.total, report, rejected) == \
+        (400, "line 401: invalid character ' ' at position 3\n", 1)
 
 
 def test_unflushed_output_from_before_a_pooled_scan_is_written_once(tmp_path):
@@ -438,3 +504,53 @@ def test_unflushed_output_from_before_a_pooled_scan_is_written_once(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.count(b"before the scan") == 1
+
+
+@pytest.fixture(scope="module")
+def million_rejects(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rejects") / "rejects.txt"
+    with open(path, "wb") as out:
+        for start in range(0, 1_000_000, 100_000):
+            out.write(b"".join(b"bad-name%d\n" % n for n in range(start, start + 100_000)))
+    yield path
+    path.unlink()
+
+
+# A process's peak RSS starts at that of the process that started it, so this
+# small launcher, not the test process, starts the CLI. wait4 then gives the
+# peak of that one run and the workers it reaped, where RUSAGE_CHILDREN would
+# keep the largest child of any earlier test.
+_LAUNCH = """
+import os, sys
+err = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+argv = [sys.executable, "-m", "shardbench.cli", *sys.argv[2:]]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=[
+    (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0), (os.POSIX_SPAWN_DUP2, err, 2)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_a_million_rejected_lines_scan_in_bounded_memory(million_rejects, tmp_path, threads):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, SHARDBENCH_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    err = tmp_path / "stderr.txt"
+    launch = subprocess.run([sys.executable, "-c", _LAUNCH, str(err), "analyze",
+                             str(million_rejects), "--strategy", "md5"],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert launch.returncode == 0, launch.stderr
+    code, peak_kib = map(int, launch.stdout.split())
+    assert code == cli.EXIT_EMPTY
+    assert peak_kib < 64 << 10, f"peak RSS {peak_kib} KiB"
+    report = "line {}: invalid character '-' at position 3\n"
+    size = sum(len(report.format(n)) for n in range(1, 1_000_001))
+    tail = ("1000000 lines rejected\n"
+            "error: no names were placed (empty or fully rejected corpus)\n").encode()
+    assert err.stat().st_size == size + len(tail)
+    with open(err, "rb") as written:
+        written.seek(size - len(report.format(1_000_000)))
+        assert written.read() == report.format(1_000_000).encode() + tail
+    err.unlink()  # about 49 MB

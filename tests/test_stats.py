@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shardbench.corpus import CorpusSpec, generate_corpus
 from shardbench.errors import (
@@ -53,6 +53,27 @@ def test_compute_stats_two_bucket_extreme():
     assert stats.ideal_mean == 2.0
     assert stats.std_dev == 2.0
     assert stats.deviation_ratio == 1.0
+
+
+# Mostly-empty spaces with small counts that repeat, and counts large enough
+# that their squared deviations need every bit fsum keeps. The example's
+# std_dev changes if a count's term is scaled by the buckets holding it
+# instead of added once per bucket.
+_COUNT_LISTS = st.lists(
+    st.one_of(st.sampled_from([0, 0, 0, 1, 2, 3, 7]), st.integers(0, 10**9)), min_size=1,
+    max_size=300,
+).filter(any)
+
+
+@given(counts=_COUNT_LISTS)
+@example(counts=[0, 0, 3, 0, 0, 2, 3, 3, 2, 0, 2, 2, 2, 0, 0, 0, 2, 0, 0, 7, 7, 0, 2, 0, 7])
+def test_compute_stats_matches_a_sum_over_every_bucket_bit_for_bit(counts):
+    stats = compute_stats(Histogram(counts, sum(counts)))
+    ideal_mean = sum(counts) / len(counts)
+    std_dev = math.sqrt(math.fsum((c - ideal_mean) ** 2 for c in counts) / len(counts))
+    assert stats.ideal_mean.hex() == ideal_mean.hex()
+    assert stats.std_dev.hex() == std_dev.hex()
+    assert stats.deviation_ratio.hex() == (std_dev / ideal_mean).hex()
 
 
 def test_compute_stats_rejects_empty():
