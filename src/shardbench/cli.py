@@ -11,7 +11,7 @@ import sys
 import tempfile
 from typing import Callable, NamedTuple, Sequence
 
-from .corpus import MODELS, CorpusSpec, generate_corpus
+from .corpus import MODELS, PARALLEL_MIN_NAMES, CorpusSpec, generate_corpus
 from .errors import ShardbenchError
 from .layout import (
     DEFAULT_FANOUT_LIMIT,
@@ -41,6 +41,7 @@ from .strategies import (
     letter_placement,
     md5_placement,
 )
+from .workers import _worker_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -269,9 +270,11 @@ def _cmd_gen_corpus(args) -> int:
         spec = CorpusSpec(model, args.count, args.seed, args.min_len, args.max_len)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    workers = _worker_count(spec.count >= PARALLEL_MIN_NAMES)
     try:
-        with _replacing(args.output, newline=None) as out:
-            for name in generate_corpus(spec):
+        with _replacing(args.output, newline=None) as out, \
+                contextlib.closing(generate_corpus(spec, workers)) as names:
+            for name in names:
                 out.write(name)
                 out.write("\n")
     except ShardbenchError as exc:

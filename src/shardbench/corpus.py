@@ -3,17 +3,30 @@
 from __future__ import annotations
 
 import bisect
+import itertools
+import marshal
+import os
 import random
 import sys
+from functools import partial
 from importlib import resources
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 from .errors import ShardbenchError, SpaceExhausted
 from .model import ALPHABET, MAX_USERNAME_LENGTH, Username, _Record, normalize_username
+from .workers import _fork, _stop
 
 MODELS = ("uniform", "name_like")
 
 VOWELS = "aeiou"
+
+# Candidates in one segment of the random stream: what one worker draws in one go.
+_SEGMENT = 1024
+# Builds a Username without its check: every drawn name passes it by construction.
+_username = partial(str.__new__, Username)
+# Fewer names than this are drawn by one process unless SHARDBENCH_THREADS
+# asks for workers: below it, forking costs more than it saves.
+PARALLEL_MIN_NAMES = 20_000
 
 # Mid-name transition weights for the name_like model, keyed by the class of
 # the previous character. Vowels hand off to a tight consonant core (r/s/t)
@@ -243,12 +256,21 @@ def distinct_capacity(spec: CorpusSpec) -> int:
     return capacity
 
 
-def generate_corpus(spec: CorpusSpec) -> Iterator[Username]:
+def generate_corpus(spec: CorpusSpec, workers: int = 1) -> Iterator[Username]:
     """Yield `count` distinct names, deterministically for a given seed.
 
     Only rng.random() is consumed from the Mersenne Twister stream, keeping
     output stable across platforms and Python versions. Duplicates redraw
     the whole name (length included) so the model's shape is undisturbed.
+
+    The stream's candidates are drawn in segments of _SEGMENT, dealt round
+    robin to this process and `workers` - 1 forked children (none without
+    os.fork). This process draws the first segment of each round. Child k
+    draws the k-th and skips the rest with _skip(); it sends each segment
+    with the stream's state after it, and the last child's state starts
+    this process's next segment. Duplicates are dropped in stream order, so
+    the names do not depend on `workers`. Every child is killed and reaped
+    once the names are out or the generator is closed.
     """
     capacity = distinct_capacity(spec)
     if spec.count > capacity:
@@ -257,31 +279,106 @@ def generate_corpus(spec: CorpusSpec) -> Iterator[Username]:
             f"produce {capacity} distinct names of length "
             f"{spec.min_len}..{spec.max_len}"
         )
-    random_ = random.Random(spec.seed).random
-    count, min_len, span = spec.count, spec.min_len, spec.max_len - spec.min_len + 1
+    if not hasattr(os, "fork"):
+        workers = 1
+    draw = _drawer(spec)
+    rng = random.Random(spec.seed)
     seen: set[str] = set()
+    add, left = seen.add, spec.count
+    children: list[tuple[int, int]] = []  # (pid, read end) of child 1..workers-1
+    try:
+        for k in range(1, workers):
+            children.append(_fork(partial(_send_segments, spec, k, workers)))
+        pipes = [open(read_end, "rb", closefd=False) for _, read_end in children]
+        for turn in itertools.count():
+            k = turn % workers
+            if k:
+                names, state = _receive(pipes[k - 1])
+                if k == workers - 1:
+                    rng.setstate(state)
+            else:  # alone, draw no more candidates than names are left
+                names = draw(rng.random, _SEGMENT if workers > 1 else min(_SEGMENT, left))
+            fresh = [name for name in names if not (name in seen or add(name))]
+            yield from map(_username, fresh[:left])
+            left -= len(fresh)
+            if left <= 0:
+                return
+    finally:
+        _stop(children)
+
+
+def _drawer(spec: CorpusSpec) -> Callable[[Callable[[], float], int], list[str]]:
+    """draw(random_, n): the next n candidate names of the spec's model from a random() stream.
+
+    Each candidate takes 1 + its length random() calls: one for its length,
+    one per character.
+    """
+    min_len, span = spec.min_len, spec.max_len - spec.min_len + 1
     if spec.model == "uniform":
-        while len(seen) < count:
-            length = min_len + int(random_() * span)
-            name = "".join([ALPHABET[int(random_() * 37)] for _ in range(length)])
-            if name not in seen:
-                seen.add(name)
-                yield Username(name)
-        return
+        def draw(random_: Callable[[], float], n: int) -> list[str]:
+            names = []
+            for _ in range(n):
+                length = min_len + int(random_() * span)
+                names.append("".join([ALPHABET[int(random_() * 37)] for _ in range(length)]))
+            return names
+        return draw
     first = _cumulative(first_letter_weights())
     first_total = first[-1]
     cumulative = {cls: _cumulative(table) for cls, table in _TRANSITIONS.items()}
     # (cumulative table, total) of the class that follows each alphabet index.
     after = [(table, table[-1]) for table in (cumulative[_char_class(c)] for c in ALPHABET)]
     bisect_right = bisect.bisect_right
-    while len(seen) < count:
-        length = min_len + int(random_() * span)
-        i = bisect_right(first, random_() * first_total)
-        name = ALPHABET[i]
-        for _ in range(length - 1):
-            table, total = after[i]
-            i = bisect_right(table, random_() * total)
-            name += ALPHABET[i]
-        if name not in seen:
-            seen.add(name)
-            yield Username(name)
+
+    def draw(random_: Callable[[], float], n: int) -> list[str]:
+        names = []
+        for _ in range(n):
+            length = min_len + int(random_() * span)
+            i = bisect_right(first, random_() * first_total)
+            name = ALPHABET[i]
+            for _ in range(length - 1):
+                table, total = after[i]
+                i = bisect_right(table, random_() * total)
+                name += ALPHABET[i]
+            names.append(name)
+        return names
+    return draw
+
+
+def _skip(rng: random.Random, spec: CorpusSpec, candidates: int) -> None:
+    """Advance rng past `candidates` candidates of the spec, as drawing them would.
+
+    random() spends two 32-bit words of the Mersenne Twister, and so does
+    each 64 bits of getrandbits(): one getrandbits(64 * length) stands for a
+    candidate's `length` character draws.
+    """
+    random_, getrandbits, span = rng.random, rng.getrandbits, spec.max_len - spec.min_len + 1
+    bits = [64 * length for length in range(spec.min_len, spec.max_len + 1)]
+    for _ in range(candidates):
+        getrandbits(bits[int(random_() * span)])
+
+
+def _send_segments(spec: CorpusSpec, k: int, workers: int, pipe: BinaryIO) -> None:
+    """In forked child k: draw segments k, k + workers, ... and write each to `pipe`, without end.
+
+    Each segment goes as an 8-byte little-endian length and then the
+    marshalled ("\\n"-joined names, stream state after them).
+    """
+    draw, rng = _drawer(spec), random.Random(spec.seed)
+    _skip(rng, spec, k * _SEGMENT)
+    while True:
+        payload = marshal.dumps(("\n".join(draw(rng.random, _SEGMENT)), rng.getstate()))
+        pipe.write(len(payload).to_bytes(8, "little"))
+        pipe.write(payload)
+        pipe.flush()
+        _skip(rng, spec, (workers - 1) * _SEGMENT)
+
+
+def _receive(pipe: BinaryIO) -> tuple[list[str], tuple]:
+    """The next (names, state) a child sent with _send_segments()."""
+    header = pipe.read(8)
+    size = int.from_bytes(header, "little")
+    payload = pipe.read(size)
+    if len(header) < 8 or len(payload) < size:
+        raise ChildProcessError("a gen-corpus worker exited before its names were drawn")
+    names, state = marshal.loads(payload)
+    return names.split("\n"), state

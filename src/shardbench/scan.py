@@ -8,8 +8,8 @@ from __future__ import annotations
 import marshal
 import os
 import shutil
-import sys
 import tempfile
+from functools import partial
 from itertools import compress
 from operator import add
 from typing import Callable
@@ -17,10 +17,9 @@ from typing import Callable
 from .corpus import NAME_END, read_names
 from .stats import Histogram, joint_bucket_count
 from .strategies import _md5
+from .workers import _fork, _stop, _worker_count
 
 _PARALLEL_MIN_BYTES = 4 << 20
-_MAX_AUTO_WORKERS = 8
-_WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
 _REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
 _COUNT_BYTES = 1 << 20  # bytes read per newline count
 _COPY_CHARS = 1 << 16  # characters of a worker's reject report copied per write
@@ -153,28 +152,6 @@ def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _threads_setting() -> int:
-    """The workers SHARDBENCH_THREADS asks for, capped per CPU; 0 unless a positive integer."""
-    raw = os.environ.get("SHARDBENCH_THREADS")
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer SHARDBENCH_THREADS={raw!r}", file=sys.stderr)
-        return 0
-    cap = _WORKERS_PER_CPU * (os.cpu_count() or 1)
-    if value > cap:
-        print(f"warning: capping SHARDBENCH_THREADS={value} at {cap} "
-              f"({_WORKERS_PER_CPU} per CPU)", file=sys.stderr)
-        return cap
-    return max(value, 0)
-
-
-def _worker_count() -> int:
-    return _threads_setting() or min(os.cpu_count() or 1, _MAX_AUTO_WORKERS)
-
-
 def _scan(path: str, pairs, report) -> tuple[list[Histogram], int]:
     """Histogram a corpus file once for every (config, level) pair.
 
@@ -204,21 +181,18 @@ def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
     anonymous temp file, already numbered from the file's first line. The
     per-chunk tallies are summed, and the reports copied, in chunk order.
     """
-    if os.path.getsize(path) < _PARALLEL_MIN_BYTES:
-        workers = _threads_setting() or 1  # serial unless the setting asks for workers
-    else:
-        workers = _worker_count()
-    first, *rest = _plan_chunks(path, workers if hasattr(os, "fork") else 1)
+    workers = _worker_count(os.path.getsize(path) >= _PARALLEL_MIN_BYTES)
+    first, *rest = _plan_chunks(path, workers)
     reports: list = []  # one per worker; unlinked at creation, so none outlives the scan
-    children: list[tuple[int, int, tuple[int, int]]] = []  # (pid, read end, chunk)
+    children: list[tuple[int, int]] = []  # (pid, read end), one per chunk of `rest`
     try:
         for _ in rest:
             reports.append(tempfile.TemporaryFile("w+", encoding="utf-8",
                                                   errors="surrogateescape", newline=""))
         for chunk, chunk_report in zip(rest, reports):
-            children.append((*_fork_chunk(path, *chunk, specs, chunk_report), chunk))
+            children.append(_fork(partial(_send_chunk, path, *chunk, specs, chunk_report)))
         tallies, rejected = _scan_chunk(path, *first, specs, report)
-        for (pid, read_end, (start, end)), chunk_report in zip(children, reports):
+        for (_, read_end), (start, end), chunk_report in zip(children, rest, reports):
             with open(read_end, "rb", closefd=False) as pipe:
                 payload = pipe.read()
             try:
@@ -230,59 +204,35 @@ def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
                 import pickle  # here, not at module level: only a failed worker needs it
                 raise pickle.loads(result)
             partials, partial_rejected = result
-            for spec, partial in zip(tallies, partials):
-                for tally, (indices, counts) in zip(spec, partial):
+            for spec, sparse in zip(tallies, partials):
+                for tally, (indices, counts) in zip(spec, sparse):
                     for i, count in zip(indices, counts):
                         tally[i] += count
             chunk_report.seek(0)
             shutil.copyfileobj(chunk_report, report, _COPY_CHARS)
             rejected += partial_rejected
-    except BaseException:
-        import signal  # likewise: only a failed scan stops its workers early
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
     finally:
-        for pid, read_end, _ in children:
-            os.close(read_end)
-            os.waitpid(pid, 0)
+        _stop(children)
         for chunk_report in reports:
             chunk_report.close()
     return tallies, rejected
 
 
-def _fork_chunk(path: str, start: int, end: int, specs, report) -> tuple[int, int]:
-    """Fork a child that scans one chunk and writes its result to a pipe: (pid, read end).
+def _send_chunk(path: str, start: int, end: int, specs, report, pipe) -> None:
+    """In a forked child: scan one chunk and write its result to `pipe`.
 
-    The child writes its chunk's reject report to the text file `report`
-    and then the marshalled tallies and reject count of _scan_chunk() on
-    the chunk, with each tally sent sparse, as (indices, counts) of its
-    nonzero buckets, or if that raises, the pickled exception. It leaves by
-    os._exit: it never returns, never flushes the stdio buffers it
-    inherited and never runs exit handlers.
+    Writes the chunk's reject report to the text file `report`, then the
+    marshalled tallies and reject count of _scan_chunk() on the chunk, with
+    each tally sent sparse, as (indices, counts) of its nonzero buckets, or
+    if that raises, the pickled exception.
     """
-    read_end, write_end = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    try:
-        os.close(read_end)  # so the write fails, not blocks, once the parent closes its end
-        try:
-            tallies, rejected = _scan_chunk(path, start, end, specs, report)
-            report.flush()
-            sparse = [[(list(compress(range(len(t)), t)), list(filter(None, t))) for t in spec]
-                      for spec in tallies]
-            payload = marshal.dumps((sparse, rejected))
-        except BaseException as exc:
-            import pickle
-            payload = marshal.dumps(pickle.dumps(exc))
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
+        tallies, rejected = _scan_chunk(path, start, end, specs, report)
+        report.flush()
+        sparse = [[(list(compress(range(len(t)), t)), list(filter(None, t))) for t in spec]
+                  for spec in tallies]
+        payload = marshal.dumps((sparse, rejected))
+    except BaseException as exc:
+        import pickle
+        payload = marshal.dumps(pickle.dumps(exc))
+    pipe.write(payload)

@@ -49,7 +49,8 @@ def test_seed7_stream_is_pinned():
     assert names == ["cirese", "asereter", "tesonirer", "sesise", "ari"]
 
 
-@pytest.mark.parametrize("spec, sha256", [
+# (spec, sha256 of everything gen-corpus writes for it)
+PINNED = [
     (CorpusSpec("name_like", 20_000, 7, min_len=3, max_len=12),
      "fee7f8b2b770a351c8bc0a2730b0e158155cf7fa822ffa1a5457ef367dd9aeca"),
     (CorpusSpec("name_like", 5_000, 3, min_len=1, max_len=64),
@@ -58,7 +59,10 @@ def test_seed7_stream_is_pinned():
      "0f9e6c63814c895744ead6d9856f871b27a0608a0216fc893ca66af14629b29d"),
     (CorpusSpec("uniform", 1_000, 4, min_len=1, max_len=2),
      "322b305da07ab67b5ed104a1dd2c3a38628bf490f529b9098751ad706f6f46f4"),
-])
+]
+
+
+@pytest.mark.parametrize("spec, sha256", PINNED)
 def test_whole_stream_is_pinned(spec, sha256):
     # The digest of everything gen-corpus writes for the spec, so a faster
     # draw that changes any byte of any name fails here.

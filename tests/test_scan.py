@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from shardbench import cli, corpus, scan
+from shardbench import cli, corpus, scan, workers
 from shardbench.corpus import load_corpus, read_names
 from shardbench.errors import ShardbenchError
 from shardbench.model import normalize_username
@@ -160,11 +160,11 @@ def test_compare_reads_the_corpus_once(tmp_path, monkeypatch, capsys):
 def test_explicit_threads_are_capped_per_cpu(monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1000000")
-    assert scan._worker_count() == 8
+    assert workers._worker_count() == 8
     assert capsys.readouterr().err == \
         "warning: capping SHARDBENCH_THREADS=1000000 at 8 (4 per CPU)\n"
     monkeypatch.setenv("SHARDBENCH_THREADS", "8")
-    assert scan._worker_count() == 8
+    assert workers._worker_count() == 8
     assert capsys.readouterr().err == ""
 
 

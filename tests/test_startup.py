@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from shardbench import cli
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SLOW_IMPORTS = {"dataclasses", "inspect", "json", "csv"}
 MARK = "--- modules ---"
@@ -79,3 +81,25 @@ def test_only_the_scanning_verbs_load_the_kernel(tmp_path):
     for argv in scanning + others:
         added = _loaded_by(f"from shardbench import cli\nassert cli.main({argv!r}) == 0")
         assert ("shardbench.scan" in added) == (argv in scanning), argv[0]
+
+
+def test_a_pooled_gen_corpus_loads_neither_the_kernel_nor_a_pool_module(tmp_path):
+    argv = ["gen-corpus", "--model", "name-like", "--count", "3000",
+            "-o", str(tmp_path / "gen.txt")]
+    code = ("import os\nforks = []\nfork = os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            f"from shardbench import cli\nassert cli.main({argv!r}) == 0\nassert len(forks) == 2")
+    added = _loaded_by(code, SHARDBENCH_THREADS="3")
+    assert not added & {"shardbench.scan", "concurrent.futures", "multiprocessing", "pickle",
+                        "signal"}
+
+
+def test_a_one_name_gen_corpus_forks_nothing(tmp_path, monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.delenv("SHARDBENCH_THREADS", raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    argv = ["gen-corpus", "--model", "name-like", "--count", "1", "-o", str(tmp_path / "one.txt")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == "wrote 1 names (model=name-like, seed=0)\n"
