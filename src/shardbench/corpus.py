@@ -238,21 +238,21 @@ def distinct_capacity(spec: CorpusSpec) -> int:
     if spec.model == "uniform":
         return sum(37**length for length in range(spec.min_len, spec.max_len + 1))
     # name_like: count strings reachable through positive-weight transitions.
-    supports = {
-        cls: [c for c in ALPHABET if table.get(c, 0.0) > 0]
-        for cls, table in _TRANSITIONS.items()
-    }
-    first = first_letter_weights()
-    reachable = {c: 1 for c in ALPHABET if first.get(c, 0.0) > 0}
+    # What may follow a character depends only on its class, so the strings
+    # are counted by the class of their last character.
+    def by_class(weights: dict[str, float]) -> dict[str, int]:
+        """How many characters of positive weight each class holds."""
+        return {cls: sum(1 for c in ALPHABET if weights.get(c, 0.0) > 0 and _char_class(c) == cls)
+                for cls in _TRANSITIONS}
+
+    successors = {cls: by_class(table) for cls, table in _TRANSITIONS.items()}
+    ending = by_class(first_letter_weights())
     capacity = 0
     for length in range(1, spec.max_len + 1):
         if length >= spec.min_len:
-            capacity += sum(reachable.values())
-        nxt: dict[str, int] = {}
-        for prev, ways in reachable.items():
-            for c in supports[_char_class(prev)]:
-                nxt[c] = nxt.get(c, 0) + ways
-        reachable = nxt
+            capacity += sum(ending.values())
+        ending = {cls: sum(ways * successors[prev][cls] for prev, ways in ending.items())
+                  for cls in _TRANSITIONS}
     return capacity
 
 

@@ -132,6 +132,31 @@ def test_capacity_name_like_short_lengths():
     assert distinct_capacity(CorpusSpec("name_like", 1, 0, min_len=2, max_len=2)) == 1075
 
 
+def _name_like_capacity_by_character(spec):
+    """Reference: the model's distinct names, counted by their last character."""
+    from shardbench.corpus import _TRANSITIONS, _char_class
+
+    supports = {cls: [c for c in ALPHABET if table.get(c, 0.0) > 0]
+                for cls, table in _TRANSITIONS.items()}
+    reachable = {c: 1 for c in ALPHABET if first_letter_weights().get(c, 0.0) > 0}
+    capacity = 0
+    for length in range(1, spec.max_len + 1):
+        if length >= spec.min_len:
+            capacity += sum(reachable.values())
+        nxt = {}
+        for prev, ways in reachable.items():
+            for c in supports[_char_class(prev)]:
+                nxt[c] = nxt.get(c, 0) + ways
+        reachable = nxt
+    return capacity
+
+
+@pytest.mark.parametrize("min_len, max_len", [(1, 1), (1, 3), (3, 12), (5, 5), (1, 64), (40, 64)])
+def test_capacity_name_like_matches_a_count_by_character(min_len, max_len):
+    spec = CorpusSpec("name_like", 1, 0, min_len=min_len, max_len=max_len)
+    assert distinct_capacity(spec) == _name_like_capacity_by_character(spec)
+
+
 def test_name_like_space_is_smaller_than_uniform():
     name_like = distinct_capacity(CorpusSpec("name_like", 1, 0))
     uniform = distinct_capacity(CorpusSpec("uniform", 1, 0))
