@@ -11,7 +11,7 @@ import sys
 import tempfile
 from typing import Callable, NamedTuple, Sequence
 
-from .corpus import MODELS, PARALLEL_MIN_NAMES, CorpusSpec, generate_corpus
+from .corpus import MODELS, PARALLEL_MIN_NAMES, CorpusSpec, _segments
 from .errors import ShardbenchError
 from .layout import (
     DEFAULT_FANOUT_LIMIT,
@@ -273,9 +273,9 @@ def _cmd_gen_corpus(args) -> int:
     workers = _worker_count(spec.count >= PARALLEL_MIN_NAMES)
     try:
         with _replacing(args.output, newline=None) as out, \
-                contextlib.closing(generate_corpus(spec, workers)) as names:
-            for name in names:
-                out.write(name)
+                contextlib.closing(_segments(spec, workers)) as segments:
+            for names in segments:
+                out.write("\n".join(names))
                 out.write("\n")
     except ShardbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import marshal
+import math
 import os
 import random
 import sys
+from bisect import bisect_right
 from functools import partial
 from importlib import resources
 from typing import BinaryIO, Callable, Iterator
@@ -22,6 +23,10 @@ VOWELS = "aeiou"
 
 # Candidates in one segment of the random stream: what one worker draws in one go.
 _SEGMENT = 1024
+# The longest name drawn by a loop unrolled for its length. Compiling one
+# costs about 20 µs a character, so a run that drew every length up to 64
+# would spend about 56 ms compiling; longer names take _name_of_length().
+_UNROLLED = 16
 # Builds a Username without its check: every drawn name passes it by construction.
 _username = partial(str.__new__, Username)
 # Fewer names than this are drawn by one process unless SHARDBENCH_THREADS
@@ -221,8 +226,7 @@ def load_corpus(
     skipped; the stream never aborts on bad input.
     """
     for names in read_names(path, on_reject):
-        for name in names:
-            yield Username(name[: -len(NAME_END)].decode("ascii"))
+        yield from map(_username, b"".join(names).decode("ascii").splitlines())
 
 
 def _cumulative(weights: dict[str, float]) -> list[float]:
@@ -272,6 +276,16 @@ def generate_corpus(spec: CorpusSpec, workers: int = 1) -> Iterator[Username]:
     the names do not depend on `workers`. Every child is killed and reaped
     once the names are out or the generator is closed.
     """
+    segments = _segments(spec, workers)
+    try:
+        for names in segments:
+            yield from map(_username, names)
+    finally:
+        segments.close()
+
+
+def _segments(spec: CorpusSpec, workers: int) -> Iterator[list[str]]:
+    """generate_corpus(spec, workers), one non-empty list of fresh names per segment drawn."""
     capacity = distinct_capacity(spec)
     if spec.count > capacity:
         raise SpaceExhausted(
@@ -288,7 +302,7 @@ def generate_corpus(spec: CorpusSpec, workers: int = 1) -> Iterator[Username]:
     children: list[tuple[int, int]] = []  # (pid, read end) of child 1..workers-1
     try:
         for k in range(1, workers):
-            children.append(_fork(partial(_send_segments, spec, k, workers)))
+            children.append(_fork(partial(_send_segments, draw, spec, k, workers)))
         pipes = [open(read_end, "rb", closefd=False) for _, read_end in children]
         for turn in itertools.count():
             k = turn % workers
@@ -299,49 +313,85 @@ def generate_corpus(spec: CorpusSpec, workers: int = 1) -> Iterator[Username]:
             else:  # alone, draw no more candidates than names are left
                 names = draw(rng.random, _SEGMENT if workers > 1 else min(_SEGMENT, left))
             fresh = [name for name in names if not (name in seen or add(name))]
-            yield from map(_username, fresh[:left])
-            left -= len(fresh)
-            if left <= 0:
+            if len(fresh) >= left:
+                yield fresh[:left]
                 return
+            if fresh:
+                yield fresh
+                left -= len(fresh)
     finally:
         _stop(children)
+
+
+def _thresholds(cumulative: list[float]) -> list[float]:
+    """The least double r with r * total >= c, for each c of a cumulative table.
+
+    `total` is the table's last entry, so no r is above 1.0, and an r of
+    1.0 is never drawn. Rounding r * total is monotone in r, so
+    bisect_right(thresholds, r) == bisect_right(cumulative, r * total) for
+    every r in [0, 1): a draw from the thresholds takes no multiply.
+    """
+    total, nextafter = cumulative[-1], math.nextafter
+    thresholds = []
+    for c in cumulative:
+        r = c / total  # within an ulp or two of the answer
+        while r * total < c:
+            r = nextafter(r, 2.0)
+        while r > 0.0 and nextafter(r, 0.0) * total >= c:
+            r = nextafter(r, 0.0)
+        thresholds.append(r)
+    return thresholds
 
 
 def _drawer(spec: CorpusSpec) -> Callable[[Callable[[], float], int], list[str]]:
     """draw(random_, n): the next n candidate names of the spec's model from a random() stream.
 
     Each candidate takes 1 + its length random() calls: one for its length,
-    one per character.
+    one per character. A character is the index bisect_right() finds for
+    its random() in the threshold table of the class before it (the first
+    character's table for the first); under the uniform model every table
+    is that of the weights 1.0 each, where the index is int(r * 37).
     """
     min_len, span = spec.min_len, spec.max_len - spec.min_len + 1
     if spec.model == "uniform":
-        def draw(random_: Callable[[], float], n: int) -> list[str]:
-            names = []
-            for _ in range(n):
-                length = min_len + int(random_() * span)
-                names.append("".join([ALPHABET[int(random_() * 37)] for _ in range(length)]))
-            return names
-        return draw
-    first = _cumulative(first_letter_weights())
-    first_total = first[-1]
-    cumulative = {cls: _cumulative(table) for cls, table in _TRANSITIONS.items()}
-    # (cumulative table, total) of the class that follows each alphabet index.
-    after = [(table, table[-1]) for table in (cumulative[_char_class(c)] for c in ALPHABET)]
-    bisect_right = bisect.bisect_right
+        first = _thresholds(_cumulative(dict.fromkeys(ALPHABET, 1.0)))
+        after = [first] * len(ALPHABET)
+    else:
+        first = _thresholds(_cumulative(first_letter_weights()))
+        by_class = {cls: _thresholds(_cumulative(table)) for cls, table in _TRANSITIONS.items()}
+        after = [by_class[_char_class(c)] for c in ALPHABET]  # the table after each index
+    space = {"first": first, "after": after, "A": ALPHABET, "b": bisect_right}
+
+    def unrolled(index: int, random_: Callable[[], float]) -> str:
+        """Compile the draw unrolled for names of min_len + index characters, keep it, use it."""
+        length = min_len + index
+        source = ["def name(r, first=first, after=after, A=A, b=b):",
+                  "    i0 = b(first, r())",
+                  *(f"    i{k} = b(after[i{k - 1}], r())" for k in range(1, length)),
+                  "    return f'" + "".join(f"{{A[i{k}]}}" for k in range(length)) + "'"]
+        exec(compile("\n".join(source), f"<{spec.model} names of {length}>", "exec"), space)
+        by_length[index] = space["name"]
+        return by_length[index](random_)
+
+    # The draw for each length, from min_len up; an unrolled one is compiled on its first use.
+    by_length = [partial(unrolled, index) if min_len + index <= _UNROLLED
+                 else partial(_name_of_length, first, after, min_len + index)
+                 for index in range(span)]
 
     def draw(random_: Callable[[], float], n: int) -> list[str]:
-        names = []
-        for _ in range(n):
-            length = min_len + int(random_() * span)
-            i = bisect_right(first, random_() * first_total)
-            name = ALPHABET[i]
-            for _ in range(length - 1):
-                table, total = after[i]
-                i = bisect_right(table, random_() * total)
-                name += ALPHABET[i]
-            names.append(name)
-        return names
+        return [by_length[int(random_() * span)](random_) for _ in range(n)]
     return draw
+
+
+def _name_of_length(first: list[float], after: list[list[float]], length: int,
+                    random_: Callable[[], float]) -> str:
+    """A candidate of `length` characters, drawn as the draw unrolled for that length draws it."""
+    i = bisect_right(first, random_())
+    name = ALPHABET[i]
+    for _ in range(length - 1):
+        i = bisect_right(after[i], random_())
+        name += ALPHABET[i]
+    return name
 
 
 def _skip(rng: random.Random, spec: CorpusSpec, candidates: int) -> None:
@@ -357,13 +407,14 @@ def _skip(rng: random.Random, spec: CorpusSpec, candidates: int) -> None:
         getrandbits(bits[int(random_() * span)])
 
 
-def _send_segments(spec: CorpusSpec, k: int, workers: int, pipe: BinaryIO) -> None:
+def _send_segments(draw: Callable[[Callable[[], float], int], list[str]], spec: CorpusSpec,
+                   k: int, workers: int, pipe: BinaryIO) -> None:
     """In forked child k: draw segments k, k + workers, ... and write each to `pipe`, without end.
 
     Each segment goes as an 8-byte little-endian length and then the
     marshalled ("\\n"-joined names, stream state after them).
     """
-    draw, rng = _drawer(spec), random.Random(spec.seed)
+    rng = random.Random(spec.seed)
     _skip(rng, spec, k * _SEGMENT)
     while True:
         payload = marshal.dumps(("\n".join(draw(rng.random, _SEGMENT)), rng.getstate()))

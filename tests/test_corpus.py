@@ -1,18 +1,26 @@
 """Corpus loading and the synthetic generators."""
 
 import hashlib
+import math
+import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, strategies as st
 
+from shardbench import corpus
 from shardbench.corpus import (
+    _TRANSITIONS,
     CorpusSpec,
+    _cumulative,
+    _thresholds,
     distinct_capacity,
     first_letter_weights,
     generate_corpus,
     load_corpus,
 )
-from shardbench.errors import SpaceExhausted
-from shardbench.model import ALPHABET, Username
+from shardbench.errors import ShardbenchError, SpaceExhausted
+from shardbench.model import ALPHABET, Username, normalize_username
 from shardbench.stats import build_histogram, compute_stats
 from shardbench.strategies import (
     AsciiSumConfig,
@@ -185,6 +193,71 @@ def test_load_corpus_without_callback_skips_quietly(tmp_path):
     path = tmp_path / "names.txt"
     path.write_text("good\nbad name\nalso_good\n", encoding="utf-8")
     assert list(load_corpus(path)) == ["good", "also_good"]
+
+
+def test_load_corpus_yields_the_username_of_each_accepted_line(tmp_path):
+    rng = random.Random(3)
+    pieces = ["ann", "Bob", "  carl ", "d\r", "e e", "\t", "", "x" * 64, "y" * 65, "z\u00e9",
+              "\u00a0Ann\u00a0", "ok_9", "\u212a", "\xff"]
+    lines = [rng.choice(pieces) + rng.choice(["", "a", "7"]) for _ in range(3_000)]
+    data = "\n".join(lines).encode("utf-8").replace("\xff".encode("utf-8"), b"\xff")
+    path = tmp_path / "dirty.txt"
+    path.write_bytes(data)  # more than two read blocks
+    expected = []
+    for raw in data.split(b"\n"):
+        try:
+            expected.append(normalize_username(raw.decode("utf-8")))
+        except (UnicodeDecodeError, ShardbenchError):
+            continue
+    names = list(load_corpus(path))
+    assert names == expected
+    assert all(type(name) is Username for name in names)
+
+
+def _weights(table: str) -> dict[str, float]:
+    if table == "first":
+        return first_letter_weights()
+    if table == "uniform":
+        return dict.fromkeys(ALPHABET, 1.0)
+    return _TRANSITIONS[table]
+
+
+TABLES = ["first", *_TRANSITIONS, "uniform"]
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_thresholds_are_the_least_doubles_at_each_cumulative_weight(table):
+    cumulative = _cumulative(_weights(table))
+    total, thresholds = cumulative[-1], _thresholds(cumulative)
+    for c, edge in zip(cumulative, thresholds):
+        assert edge * total >= c
+        if edge > 0.0:
+            assert math.nextafter(edge, 0.0) * total < c
+        for r in (edge, math.nextafter(edge, 0.0)):
+            if 0.0 <= r < 1.0:
+                assert bisect_right(thresholds, r) == bisect_right(cumulative, r * total), r
+                if table == "uniform":  # the index the uniform model drew before thresholds
+                    assert bisect_right(thresholds, r) == int(r * 37), r
+
+
+@pytest.mark.parametrize("table", TABLES)
+@given(r=st.floats(0.0, 1.0, exclude_max=True))
+def test_thresholds_bisect_as_the_cumulative_table_does(table, r):
+    cumulative = _cumulative(_weights(table))
+    assert bisect_right(_thresholds(cumulative), r) == bisect_right(cumulative, r * cumulative[-1])
+
+
+@given(r=st.floats(0.0, 1.0, exclude_max=True))
+def test_uniform_thresholds_pick_int_r_times_37(r):
+    assert bisect_right(_thresholds(_cumulative(_weights("uniform"))), r) == int(r * 37)
+
+
+@pytest.mark.parametrize("model", ["uniform", "name_like"])
+def test_unrolled_names_match_the_plain_loop(monkeypatch, model):
+    spec = CorpusSpec(model, 1, 5, min_len=1, max_len=corpus._UNROLLED + 4)
+    unrolled = corpus._drawer(spec)(random.Random(5).random, 2_000)
+    monkeypatch.setattr(corpus, "_UNROLLED", 0)  # every length takes _name_of_length()
+    assert corpus._drawer(spec)(random.Random(5).random, 2_000) == unrolled
 
 
 def test_name_like_first_letters_are_heavily_skewed():

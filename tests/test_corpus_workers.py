@@ -112,6 +112,22 @@ def test_pooled_cli_output_is_pinned(tmp_path, monkeypatch, capsys, threads, spe
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("segment", [1, 2])
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_segments_of_duplicates_write_no_blank_line(tmp_path, monkeypatch, capsys, segment,
+                                                    threads):
+    # 37 one-character names from segments of 1 or 2 candidates: most segments are all duplicates.
+    monkeypatch.setattr(corpus, "_SEGMENT", segment)
+    monkeypatch.setenv("SHARDBENCH_THREADS", threads)
+    spec = CorpusSpec("uniform", 37, 0, min_len=1, max_len=1)
+    out = tmp_path / "names.txt"
+    argv = ["gen-corpus", "--model", "uniform", "--count", "37", "--seed", "0",
+            "--min-len", "1", "--max-len", "1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == _stream(spec)
+
+
 @pytest.mark.parametrize("count, forks", [(99, 0), (100, 2)])
 def test_auto_workers_start_at_the_threshold(tmp_path, monkeypatch, capsys, count, forks):
     monkeypatch.delenv("SHARDBENCH_THREADS", raising=False)
@@ -143,13 +159,13 @@ def test_closing_the_generator_early_stops_every_child(monkeypatch):
 
 
 class _FailingOutput:
-    """A text stream whose writes raise `error` once `room` of them have been made."""
+    """A text stream whose writes raise `error` once `room` characters have been written."""
 
     def __init__(self, room: int, error: BaseException) -> None:
         self.room, self.error = room, error
 
     def write(self, text: str) -> None:
-        self.room -= 1
+        self.room -= len(text)
         if self.room < 0:
             raise self.error
 
@@ -166,7 +182,7 @@ GEN_ARGV = ["gen-corpus", "--model", "name-like", "--count", "20000", "-o", "unu
 
 def test_a_consumer_that_raises_stops_every_child(monkeypatch, capsys):
     forked = _gen_corpus_writing_to(
-        monkeypatch, _FailingOutput(5_000, OSError(28, "No space left on device")))
+        monkeypatch, _FailingOutput(20_000, OSError(28, "No space left on device")))
     assert cli.main(GEN_ARGV) == cli.EXIT_IO
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert len(forked) == 2
@@ -175,7 +191,7 @@ def test_a_consumer_that_raises_stops_every_child(monkeypatch, capsys):
 
 def test_an_interrupt_while_writing_stops_every_child_before_it_propagates(monkeypatch):
     # The traceback keeps the generator alive, so only closing it stops the children.
-    forked = _gen_corpus_writing_to(monkeypatch, _FailingOutput(5_000, KeyboardInterrupt()))
+    forked = _gen_corpus_writing_to(monkeypatch, _FailingOutput(20_000, KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt) as raised:
         cli.main(GEN_ARGV)
     assert len(forked) == 2
@@ -202,14 +218,14 @@ def test_a_child_killed_mid_run_fails_the_cli_and_writes_no_corpus(tmp_path, mon
     forked = _spy_on_fork(monkeypatch)
 
     def killing(spec, workers):
-        names = generate_corpus(spec, workers)
-        with contextlib.closing(names):
-            for n, name in enumerate(names):
-                if n == 1_000:
+        segments = corpus._segments(spec, workers)
+        with contextlib.closing(segments):
+            for n, names in enumerate(segments):
+                if n == 16:  # about 1,000 names in
                     os.kill(forked[0], signal.SIGKILL)
-                yield name
+                yield names
 
-    monkeypatch.setattr(cli, "generate_corpus", killing)
+    monkeypatch.setattr(cli, "_segments", killing)
     out = tmp_path / "names.txt"
     argv = ["gen-corpus", "--model", "name-like", "--count", "20000", "-o", str(out)]
     assert cli.main(argv) == cli.EXIT_IO
