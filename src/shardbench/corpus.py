@@ -23,11 +23,10 @@ VOWELS = "aeiou"
 
 # Candidates in one segment of the random stream: what one worker draws in one go.
 _SEGMENT = 1024
-# The longest name drawn by a loop unrolled for its length. Compiling one
-# costs about 20 µs a character, so a run that drew every length up to 64
-# would spend about 56 ms compiling; longer names take _name_of_length().
-_UNROLLED = 16
-# Builds a Username without its check: every drawn name passes it by construction.
+# Turns each alphabet index into its character, and len(ALPHABET) into "\n".
+_INDEX_CHARS = bytes.maketrans(bytes(range(len(ALPHABET) + 1)), (ALPHABET + "\n").encode())
+# Builds a Username without its check, for names that pass it already: drawn
+# from ALPHABET in the length range, or validated by read_names().
 _username = partial(str.__new__, Username)
 # Fewer names than this are drawn by one process unless SHARDBENCH_THREADS
 # asks for workers: below it, forking costs more than it saves.
@@ -350,7 +349,10 @@ def _drawer(spec: CorpusSpec) -> Callable[[Callable[[], float], int], list[str]]
     one per character. A character is the index bisect_right() finds for
     its random() in the threshold table of the class before it (the first
     character's table for the first); under the uniform model every table
-    is that of the weights 1.0 each, where the index is int(r * 37).
+    is that of the weights 1.0 each, where the index is int(r * 37). The
+    indices are collected in one bytearray and turned into names with
+    one translate, which costs less than building each name a character
+    at a time.
     """
     min_len, span = spec.min_len, spec.max_len - spec.min_len + 1
     if spec.model == "uniform":
@@ -360,38 +362,22 @@ def _drawer(spec: CorpusSpec) -> Callable[[Callable[[], float], int], list[str]]
         first = _thresholds(_cumulative(first_letter_weights()))
         by_class = {cls: _thresholds(_cumulative(table)) for cls, table in _TRANSITIONS.items()}
         after = [by_class[_char_class(c)] for c in ALPHABET]  # the table after each index
-    space = {"first": first, "after": after, "A": ALPHABET, "b": bisect_right}
-
-    def unrolled(index: int, random_: Callable[[], float]) -> str:
-        """Compile the draw unrolled for names of min_len + index characters, keep it, use it."""
-        length = min_len + index
-        source = ["def name(r, first=first, after=after, A=A, b=b):",
-                  "    i0 = b(first, r())",
-                  *(f"    i{k} = b(after[i{k - 1}], r())" for k in range(1, length)),
-                  "    return f'" + "".join(f"{{A[i{k}]}}" for k in range(length)) + "'"]
-        exec(compile("\n".join(source), f"<{spec.model} names of {length}>", "exec"), space)
-        by_length[index] = space["name"]
-        return by_length[index](random_)
-
-    # The draw for each length, from min_len up; an unrolled one is compiled on its first use.
-    by_length = [partial(unrolled, index) if min_len + index <= _UNROLLED
-                 else partial(_name_of_length, first, after, min_len + index)
-                 for index in range(span)]
+    rest = [range(length - 1) for length in range(min_len, spec.max_len + 1)]  # after the first
+    end = len(ALPHABET)
 
     def draw(random_: Callable[[], float], n: int) -> list[str]:
-        return [by_length[int(random_() * span)](random_) for _ in range(n)]
+        indices = bytearray()
+        add = indices.append
+        for _ in range(n):
+            others = rest[int(random_() * span)]
+            i = bisect_right(first, random_())
+            add(i)
+            for _ in others:
+                i = bisect_right(after[i], random_())
+                add(i)
+            add(end)
+        return indices.translate(_INDEX_CHARS).decode("ascii").splitlines()
     return draw
-
-
-def _name_of_length(first: list[float], after: list[list[float]], length: int,
-                    random_: Callable[[], float]) -> str:
-    """A candidate of `length` characters, drawn as the draw unrolled for that length draws it."""
-    i = bisect_right(first, random_())
-    name = ALPHABET[i]
-    for _ in range(length - 1):
-        i = bisect_right(after[i], random_())
-        name += ALPHABET[i]
-    return name
 
 
 def _skip(rng: random.Random, spec: CorpusSpec, candidates: int) -> None:

@@ -8,7 +8,6 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, strategies as st
 
-from shardbench import corpus
 from shardbench.corpus import (
     _TRANSITIONS,
     CorpusSpec,
@@ -250,14 +249,6 @@ def test_thresholds_bisect_as_the_cumulative_table_does(table, r):
 @given(r=st.floats(0.0, 1.0, exclude_max=True))
 def test_uniform_thresholds_pick_int_r_times_37(r):
     assert bisect_right(_thresholds(_cumulative(_weights("uniform"))), r) == int(r * 37)
-
-
-@pytest.mark.parametrize("model", ["uniform", "name_like"])
-def test_unrolled_names_match_the_plain_loop(monkeypatch, model):
-    spec = CorpusSpec(model, 1, 5, min_len=1, max_len=corpus._UNROLLED + 4)
-    unrolled = corpus._drawer(spec)(random.Random(5).random, 2_000)
-    monkeypatch.setattr(corpus, "_UNROLLED", 0)  # every length takes _name_of_length()
-    assert corpus._drawer(spec)(random.Random(5).random, 2_000) == unrolled
 
 
 def test_name_like_first_letters_are_heavily_skewed():
