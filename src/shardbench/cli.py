@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import re
 import stat
@@ -50,6 +51,9 @@ EXIT_EMPTY = 4
 EXIT_LIMIT = 5
 
 _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
+# Characters of report text joined into one write. Under PYTHONUNBUFFERED
+# stdout is write-through, so each write is a system call of its own.
+_WRITE_CHARS = 8 << 10
 
 
 class UsageError(Exception):
@@ -208,11 +212,60 @@ def _written_beside(path: str, newline: str | None, old: os.stat_result | None):
         raise
 
 
+@contextlib.contextmanager
 def _output(path: str | None):
-    """Where a report goes: stdout for None or "-", else a file replaced when complete."""
-    if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return _replacing(path, newline="")
+    """Where a report goes: stdout for None or "-", else a file replaced when complete.
+
+    Writes reach it joined, in _Joined batches.
+    """
+    with _stdout() if path is None or path == "-" else _replacing(path, newline="") as out:
+        joined = _Joined(out)
+        yield joined
+        joined.flush()
+
+
+@contextlib.contextmanager
+def _stdout():
+    """sys.stdout, flushed once the block completes, so a failed write fails the run.
+
+    What a failed write leaves in stdout's buffer would fail again when the
+    interpreter flushes stdout on its way out, and make the exit code 120;
+    it goes to os.devnull instead.
+    """
+    out = sys.stdout
+    try:
+        yield out
+        out.flush()
+    except OSError:
+        with contextlib.suppress(OSError, ValueError):  # no file descriptor behind `out`
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        raise
+
+
+class _Joined:
+    """A text stream's stand-in that passes writes on joined, about _WRITE_CHARS at a time.
+
+    json.dump writes each token, and csv.writer each row, on its own; this
+    turns a report of 4,096 counts into a few writes. flush() writes what is
+    held back.
+    """
+
+    def __init__(self, out) -> None:
+        self._out = out
+        self._held: list[str] = []
+        self._size = 0
+
+    def write(self, text: str) -> None:
+        self._held.append(text)
+        self._size += len(text)
+        if self._size >= _WRITE_CHARS:
+            self.flush()
+
+    def flush(self) -> None:
+        if self._held:
+            self._out.write("".join(self._held))
+            self._held.clear()
+            self._size = 0
 
 
 def _emit_analysis(
@@ -548,6 +601,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:  # the program, not an in-process call
+        # Moves every object made so far, most of them by the interpreter's
+        # own start-up, out of the collector's reach, so its full collection
+        # at exit has little left to walk.
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -120,9 +120,8 @@ def first_letter_weights() -> dict[str, float]:
 
 # In a block's marks each name byte ([0-9A-Za-z_]) reads as `a`, `\n` as
 # itself and any other byte as `!`, and 65 `a`s in a row (an over-long line)
-# become `!`s. Only a line whose marks hold a `!`, or a blank one (a `\n`
-# right after another), needs the per-line check: every other line is a
-# name as it stands.
+# become `!`s. Only a line whose marks hold a `!` needs the per-line check:
+# a blank line is dropped whole, and every other line is a name as it stands.
 _NAME_BYTES = (ALPHABET + ALPHABET.upper()).encode()
 _MARKS = bytes(97 if b in _NAME_BYTES else b if b == 10 else 33 for b in range(256))
 _OVERLONG = b"a" * (MAX_USERNAME_LENGTH + 1)
@@ -157,28 +156,29 @@ def read_names(
     for block in _blocks(path, start, sys.maxsize if end is None else end):
         marks = block.translate(_MARKS).replace(_OVERLONG, b"!" * len(_OVERLONG))
         lines = block.translate(_FOLD).splitlines(True)
-        dropped = [0] if block.startswith(b"\n") else []  # a blank first line has no "\n\n"
-        # Each sign's lines are found in file order, so `index` only counts
-        # forward. Blank lines report nothing, so rejects come in line order.
-        for sign in (b"!", b"\n\n"):
-            at = marks.find(sign)
-            seen = index = 0
-            while at >= 0:
-                stop = marks.find(b"\n", at + len(sign) - 1)
-                first = marks.rfind(b"\n", 0, stop) + 1
-                index += marks.count(b"\n", seen, first)
-                seen = first
-                name, reason = _check_line(block[first:stop])
-                if name is None:
-                    dropped.append(index)
-                else:
-                    lines[index] = name + NAME_END
-                if reason is not None and on_reject is not None:
-                    on_reject(line_number + index, reason)
-                at = marks.find(sign, stop)
+        # The checked lines are found in file order, so `index` only counts
+        # forward and rejects come in line order. A line is checked while it
+        # is still as read, so its length gives its start.
+        at = marks.find(b"!")
+        seen = index = 0
+        while at >= 0:
+            stop = marks.find(b"\n", at)
+            index += marks.count(b"\n", seen, at)
+            seen = at
+            name, reason = _check_line(block[stop + 1 - len(lines[index]):stop])
+            lines[index] = b"\n" if name is None else name + NAME_END
+            if reason is not None and on_reject is not None:
+                on_reject(line_number + index, reason)
+            at = marks.find(b"!", stop)
         line_number += len(lines)
-        for index in sorted(dropped, reverse=True):
-            del lines[index]
+        # Blank lines, and the dropped ones now made blank, are all that read b"\n".
+        index = 0
+        try:
+            while True:
+                index = lines.index(b"\n", index)
+                del lines[index]
+        except ValueError:  # none left
+            pass
         yield lines
 
 

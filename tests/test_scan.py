@@ -215,6 +215,26 @@ def test_reader_at_block_edges(tmp_path, block, data, names, rejects):
     assert seen == rejects
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("block", [6, 16 << 10])
+@pytest.mark.parametrize("data", [
+    # A blank first line of the file, and (in blocks of 6 bytes) of later blocks.
+    b"\nalice\n\nbob\ncarol\n\ndave\n",
+    # Runs of blank lines, one of them at the end.
+    b"alice\n\n\n\nbob\n\n\ncarol\n\n\n",
+    # Lines of only \r, of only whitespace, and of both.
+    b"alice\n\r\n\r\r\n \t\n\x0b\x0c\n \r\nbob\n  \ncarol\n",
+    # Dropped lines (rejected, or blank once trimmed) next to blank lines.
+    b"alice\n\nbad-name\n\nb@d\n\xff\n\n \nbob\n" + b"x" * 65 + b"\n\ncarol\n",
+    # A file that ends without \n, in a dropped line and in a name.
+    b"alice\n\n-x-",
+    b"alice\n\nBob ",
+])
+def test_reader_edge_cases_match_the_oracle(tmp_path, threads, block, data):
+    with mock.patch.object(corpus, "_BLOCK", block):
+        _check_kernel(tmp_path / "names.txt", data, threads)
+
+
 def test_builtin_md5_matches_hashlib():
     for name in [b"\n", b"frank\n", b"a" * 64 + b"\n", b"user_0042\n"]:
         assert scan._md5(name).digest() == hashlib.md5(name).digest()

@@ -4,10 +4,13 @@ Each run is a fresh interpreter with this environment, so the modules the
 interpreter's own start-up (`site`) loads are in both sets and cancel out.
 """
 
+import gc
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from shardbench import cli
 
@@ -103,3 +106,47 @@ def test_a_one_name_gen_corpus_forks_nothing(tmp_path, monkeypatch, capsys):
     argv = ["gen-corpus", "--model", "name-like", "--count", "1", "-o", str(tmp_path / "one.txt")]
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().err == "wrote 1 names (model=name-like, seed=0)\n"
+
+
+def test_an_in_process_run_freezes_nothing(tmp_path, capsys):
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("frank\n")
+    frozen = gc.get_freeze_count()
+    assert cli.main(["analyze", str(corpus), "--strategy", "md5"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_program_freezes_its_start_up_heap():
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['shardbench', 'locate', 'frank', '--strategy', 'md5']\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "try:\n"
+            "    runpy.run_module('shardbench.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count(), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    code, frozen = map(int, run.stderr.split())
+    assert code == cli.EXIT_OK
+    assert frozen > 1000
+
+
+@pytest.mark.parametrize("verb", ["analyze", "gen-corpus"])
+def test_no_worker_outlives_a_pooled_run(tmp_path, monkeypatch, capsys, verb):
+    corpus = tmp_path / "names.txt"
+    corpus.write_text("".join(f"user{n}\n" for n in range(3000)))
+    argv = {"analyze": ["analyze", str(corpus), "--strategy", "md5", "--no-counts"],
+            "gen-corpus": ["gen-corpus", "--model", "name-like", "--count", "3000",
+                           "-o", str(tmp_path / "gen.txt")]}[verb]
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setenv("SHARDBENCH_THREADS", "3")
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
