@@ -479,8 +479,9 @@ def _cmd_locate(args) -> int:
         return EXIT_USAGE
     strategy, text = _flag_text(args)
     cfg = _config(strategy, text)
-    print(" ".join(str(bucket) for bucket, _ in strategy.place(name, cfg).levels))
-    print(strategy.path(name, cfg, args.root).render())
+    with _stdout() as out:
+        print(" ".join(str(bucket) for bucket, _ in strategy.place(name, cfg).levels),
+              strategy.path(name, cfg, args.root).render(), sep="\n", file=out)
     return EXIT_OK
 
 
@@ -499,11 +500,11 @@ def _fanout(args) -> FanoutReport:
 
 def _cmd_check_fanout(args) -> int:
     report = _fanout(args)
-    print("per_level_dirs=" + ",".join(str(m) for m in report.per_level_dirs))
-    print(f"dirs_under_one_top={report.dirs_under_one_top}")
-    print(f"total_leaf_buckets={report.total_leaf_buckets}")
-    print(f"limit={report.limit}")
-    print(f"ok={'true' if report.ok else 'false'}")
+    with _stdout() as out:
+        print("per_level_dirs=" + ",".join(str(m) for m in report.per_level_dirs),
+              f"dirs_under_one_top={report.dirs_under_one_top}",
+              f"total_leaf_buckets={report.total_leaf_buckets}", f"limit={report.limit}",
+              f"ok={'true' if report.ok else 'false'}", sep="\n", file=out)
     return EXIT_OK if report.ok else EXIT_LIMIT
 
 
@@ -616,9 +617,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import marshal
 import math
 import os
 import random
@@ -15,7 +14,7 @@ from typing import BinaryIO, Callable, Iterator
 
 from .errors import ShardbenchError, SpaceExhausted
 from .model import ALPHABET, MAX_USERNAME_LENGTH, Username, _Record, normalize_username
-from .workers import _fork, _stop
+from .workers import _forked, _receive, _send
 
 MODELS = ("uniform", "name_like")
 
@@ -31,6 +30,8 @@ _username = partial(str.__new__, Username)
 # Fewer names than this are drawn by one process unless SHARDBENCH_THREADS
 # asks for workers: below it, forking costs more than it saves.
 PARALLEL_MIN_NAMES = 20_000
+# The error of a run whose child exited before it had sent all it was asked for.
+_LOST = "a gen-corpus worker exited before its names were drawn"
 
 # Mid-name transition weights for the name_like model, keyed by the class of
 # the previous character. Vowels hand off to a tight consonant core (r/s/t)
@@ -272,8 +273,9 @@ def generate_corpus(spec: CorpusSpec, workers: int = 1) -> Iterator[Username]:
     draws the k-th and skips the rest with _skip(); it sends each segment
     with the stream's state after it, and the last child's state starts
     this process's next segment. Duplicates are dropped in stream order, so
-    the names do not depend on `workers`. Every child is killed and reaped
-    once the names are out or the generator is closed.
+    the names do not depend on `workers`. What a child raises is raised
+    here. Every child is killed and reaped once the names are out or the
+    generator is closed.
     """
     segments = _segments(spec, workers)
     try:
@@ -298,15 +300,13 @@ def _segments(spec: CorpusSpec, workers: int) -> Iterator[list[str]]:
     rng = random.Random(spec.seed)
     seen: set[str] = set()
     add, left = seen.add, spec.count
-    children: list[tuple[int, int]] = []  # (pid, read end) of child 1..workers-1
-    try:
-        for k in range(1, workers):
-            children.append(_fork(partial(_send_segments, draw, spec, k, workers)))
-        pipes = [open(read_end, "rb", closefd=False) for _, read_end in children]
+    with _forked([partial(_send_segments, draw, spec, k, workers)
+                  for k in range(1, workers)]) as pipes:
         for turn in itertools.count():
             k = turn % workers
             if k:
-                names, state = _receive(pipes[k - 1])
+                names, state = _receive(pipes[k - 1], _LOST)
+                names = names.split("\n")
                 if k == workers - 1:
                     rng.setstate(state)
             else:  # alone, draw no more candidates than names are left
@@ -318,8 +318,6 @@ def _segments(spec: CorpusSpec, workers: int) -> Iterator[list[str]]:
             if fresh:
                 yield fresh
                 left -= len(fresh)
-    finally:
-        _stop(children)
 
 
 def _thresholds(cumulative: list[float]) -> list[float]:
@@ -395,27 +393,13 @@ def _skip(rng: random.Random, spec: CorpusSpec, candidates: int) -> None:
 
 def _send_segments(draw: Callable[[Callable[[], float], int], list[str]], spec: CorpusSpec,
                    k: int, workers: int, pipe: BinaryIO) -> None:
-    """In forked child k: draw segments k, k + workers, ... and write each to `pipe`, without end.
+    """In forked child k: draw segments k, k + workers, ... and send each to `pipe`, without end.
 
-    Each segment goes as an 8-byte little-endian length and then the
-    marshalled ("\\n"-joined names, stream state after them).
+    Each segment goes as one frame: its "\\n"-joined names and the stream's
+    state after them.
     """
     rng = random.Random(spec.seed)
     _skip(rng, spec, k * _SEGMENT)
     while True:
-        payload = marshal.dumps(("\n".join(draw(rng.random, _SEGMENT)), rng.getstate()))
-        pipe.write(len(payload).to_bytes(8, "little"))
-        pipe.write(payload)
-        pipe.flush()
+        _send(pipe, ("\n".join(draw(rng.random, _SEGMENT)), rng.getstate()))
         _skip(rng, spec, (workers - 1) * _SEGMENT)
-
-
-def _receive(pipe: BinaryIO) -> tuple[list[str], tuple]:
-    """The next (names, state) a child sent with _send_segments()."""
-    header = pipe.read(8)
-    size = int.from_bytes(header, "little")
-    payload = pipe.read(size)
-    if len(header) < 8 or len(payload) < size:
-        raise ChildProcessError("a gen-corpus worker exited before its names were drawn")
-    names, state = marshal.loads(payload)
-    return names.split("\n"), state

@@ -5,7 +5,6 @@ Only the verbs that scan a corpus, analyze and compare, import this module.
 
 from __future__ import annotations
 
-import marshal
 import os
 import shutil
 import tempfile
@@ -17,7 +16,7 @@ from typing import Callable
 from .corpus import NAME_END, read_names
 from .stats import Histogram, joint_bucket_count
 from .strategies import _md5
-from .workers import _fork, _stop, _worker_count
+from .workers import _forked, _receive, _send, _worker_count
 
 _PARALLEL_MIN_BYTES = 4 << 20
 _REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
@@ -184,55 +183,38 @@ def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
     workers = _worker_count(os.path.getsize(path) >= _PARALLEL_MIN_BYTES)
     first, *rest = _plan_chunks(path, workers)
     reports: list = []  # one per worker; unlinked at creation, so none outlives the scan
-    children: list[tuple[int, int]] = []  # (pid, read end), one per chunk of `rest`
     try:
         for _ in rest:
             reports.append(tempfile.TemporaryFile("w+", encoding="utf-8",
                                                   errors="surrogateescape", newline=""))
-        for chunk, chunk_report in zip(rest, reports):
-            children.append(_fork(partial(_send_chunk, path, *chunk, specs, chunk_report)))
-        tallies, rejected = _scan_chunk(path, *first, specs, report)
-        for (_, read_end), (start, end), chunk_report in zip(children, rest, reports):
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            try:
-                result = marshal.loads(payload)
-            except (EOFError, ValueError, TypeError):
-                raise ChildProcessError(f"the worker scanning bytes {start}..{end} of "
-                                        f"{path} exited without a result") from None
-            if isinstance(result, bytes):  # the worker failed: raise what it raised
-                import pickle  # here, not at module level: only a failed worker needs it
-                raise pickle.loads(result)
-            partials, partial_rejected = result
-            for spec, sparse in zip(tallies, partials):
-                for tally, (indices, counts) in zip(spec, sparse):
-                    for i, count in zip(indices, counts):
-                        tally[i] += count
-            chunk_report.seek(0)
-            shutil.copyfileobj(chunk_report, report, _COPY_CHARS)
-            rejected += partial_rejected
+        with _forked([partial(_send_chunk, path, *chunk, specs, chunk_report)
+                      for chunk, chunk_report in zip(rest, reports)]) as pipes:
+            tallies, rejected = _scan_chunk(path, *first, specs, report)
+            for pipe, (start, end), chunk_report in zip(pipes, rest, reports):
+                lost = f"the worker scanning bytes {start}..{end} of {path} exited without a result"
+                partials, partial_rejected = _receive(pipe, lost)
+                for spec, sparse in zip(tallies, partials):
+                    for tally, (indices, counts) in zip(spec, sparse):
+                        for i, count in zip(indices, counts):
+                            tally[i] += count
+                chunk_report.seek(0)
+                shutil.copyfileobj(chunk_report, report, _COPY_CHARS)
+                rejected += partial_rejected
     finally:
-        _stop(children)
         for chunk_report in reports:
             chunk_report.close()
     return tallies, rejected
 
 
 def _send_chunk(path: str, start: int, end: int, specs, report, pipe) -> None:
-    """In a forked child: scan one chunk and write its result to `pipe`.
+    """In a forked child: scan one chunk and send its result to `pipe`.
 
-    Writes the chunk's reject report to the text file `report`, then the
-    marshalled tallies and reject count of _scan_chunk() on the chunk, with
-    each tally sent sparse, as (indices, counts) of its nonzero buckets, or
-    if that raises, the pickled exception.
+    Writes the chunk's reject report to the text file `report`, then sends
+    the tallies and reject count of _scan_chunk() on the chunk as one
+    frame, with each tally sparse, as (indices, counts) of its nonzero
+    buckets.
     """
-    try:
-        tallies, rejected = _scan_chunk(path, start, end, specs, report)
-        report.flush()
-        sparse = [[(list(compress(range(len(t)), t)), list(filter(None, t))) for t in spec]
-                  for spec in tallies]
-        payload = marshal.dumps((sparse, rejected))
-    except BaseException as exc:
-        import pickle
-        payload = marshal.dumps(pickle.dumps(exc))
-    pipe.write(payload)
+    tallies, rejected = _scan_chunk(path, start, end, specs, report)
+    report.flush()
+    _send(pipe, ([[(list(compress(range(len(t)), t)), list(filter(None, t))) for t in spec]
+                  for spec in tallies], rejected))

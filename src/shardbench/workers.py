@@ -1,14 +1,17 @@
 """Forked workers, shared by the scan kernel and the corpus generator.
 
-How many processes to split a job over, and how to start and stop one.
-It loads neither `signal` nor `pickle`: only os.fork and os.pipe.
+How many processes to split a job over, how to start and stop them, and
+the one frame format a child sends its parent. It loads neither `signal`
+nor `pickle`, unless a child fails: only os.fork, os.pipe and marshal.
 """
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import os
 import sys
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 _MAX_AUTO_WORKERS = 8
 _WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
@@ -44,12 +47,35 @@ def _worker_count(large: bool = True) -> int:
     return workers if hasattr(os, "fork") else 1
 
 
-def _fork(work: Callable[[BinaryIO], None]) -> tuple[int, int]:
+def _send(pipe: BinaryIO, value) -> None:
+    """Write one frame to `pipe`: an 8-byte little-endian length, then `value` marshalled."""
+    payload = marshal.dumps(value)
+    pipe.write(len(payload).to_bytes(8, "little", signed=True))
+    pipe.write(payload)  # not joined to the header: a scan's payload can run to megabytes
+    pipe.flush()
+
+
+def _receive(pipe: BinaryIO, lost: str):
+    """The value of the next frame on `pipe`; ChildProcessError(lost) if it is cut short.
+
+    An error frame, marked by a negative length, holds a pickled exception to raise.
+    """
+    header = pipe.read(8)
+    size = int.from_bytes(header, "little", signed=True)
+    payload = pipe.read(abs(size))
+    if len(header) < 8 or len(payload) < abs(size):
+        raise ChildProcessError(lost)
+    if size >= 0:
+        return marshal.loads(payload)
+    import pickle  # here, not at module level: only a failed child needs it
+    raise pickle.loads(payload)
+
+
+def _fork(work: Callable[[BinaryIO], None]) -> tuple[int, BinaryIO]:
     """Fork a child that runs work(pipe) on the write end of a new pipe: (pid, read end).
 
-    The child leaves by os._exit once `work` returns or raises: it never
-    returns, never flushes the stdio buffers it inherited and never runs
-    exit handlers.
+    If `work` raises, the child's last frame is an error frame. It leaves by os._exit,
+    so it never returns, flushes the stdio buffers it inherited or runs exit handlers.
     """
     read_end, write_end = os.pipe()
     try:
@@ -60,21 +86,34 @@ def _fork(work: Callable[[BinaryIO], None]) -> tuple[int, int]:
         raise
     if pid:
         os.close(write_end)
-        return pid, read_end
+        return pid, open(read_end, "rb")
     try:
         os.close(read_end)  # so a write fails, not blocks, once the parent closes its end
         with open(write_end, "wb") as pipe:
-            work(pipe)
+            try:
+                work(pipe)
+            except BaseException as exc:
+                import pickle
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)  # one the parent could not load is sent as no frame at all
+                pipe.write((-len(payload)).to_bytes(8, "little", signed=True) + payload)
     finally:
         os._exit(0)
 
 
-def _stop(children: list[tuple[int, int]]) -> None:
-    """Kill each (pid, read end) child, close its pipe and reap it.
+@contextlib.contextmanager
+def _forked(works: Iterable[Callable[[BinaryIO], None]]) -> Iterator[list[BinaryIO]]:
+    """Fork a child for each work with _fork(), and yield their read ends in order.
 
-    A child that has already sent all it has is only ended sooner.
+    However the block ends, every child is killed, its pipe closed and the child reaped.
     """
-    for pid, read_end in children:
-        os.kill(pid, _SIGKILL)
-        os.close(read_end)
-        os.waitpid(pid, 0)
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for work in works:
+            children.append(_fork(work))
+        yield [pipe for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, _SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)

@@ -233,3 +233,35 @@ def test_a_child_killed_mid_run_fails_the_cli_and_writes_no_corpus(tmp_path, mon
         "error: a gen-corpus worker exited before its names were drawn\n"
     assert list(tmp_path.iterdir()) == []
     _no_child_left()
+
+
+def _failing_in_children(monkeypatch, error: BaseException) -> None:
+    """Make corpus._skip, which only a child calls, raise `error` in any process but this one."""
+    parent, skip = os.getpid(), corpus._skip
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise error
+        skip(*args)
+
+    monkeypatch.setattr(corpus, "_skip", failing)
+
+
+def test_a_childs_exception_reaches_the_generator_as_itself(monkeypatch):
+    _failing_in_children(monkeypatch, MemoryError("a child ran out"))
+    with pytest.raises(MemoryError, match="^a child ran out$"):
+        list(generate_corpus(CorpusSpec("name_like", 5_000, 7), 3))
+    _no_child_left()
+
+
+def test_a_childs_os_error_fails_the_cli_as_a_serial_one_and_writes_no_corpus(
+        tmp_path, monkeypatch, capsys):
+    error = OSError(5, "Input/output error", "somewhere")
+    _failing_in_children(monkeypatch, error)
+    monkeypatch.setenv("SHARDBENCH_THREADS", "3")
+    out = tmp_path / "names.txt"
+    argv = ["gen-corpus", "--model", "name-like", "--count", "5000", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+    _no_child_left()

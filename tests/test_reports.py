@@ -166,3 +166,19 @@ def test_a_report_to_a_full_device_fails_with_exit_3(tmp_path, unbuffered, modul
                              timeout=60)
     assert run.returncode == cli.EXIT_IO, run.stderr
     assert run.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("verb", [["locate", "frank"], ["check-fanout"]])
+def test_a_lookup_to_a_full_device_fails_with_exit_3(unbuffered, verb):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "shardbench.cli", *verb, "--strategy", "md5"]
+    with open("/dev/full", "w") as full:
+        run = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True,
+                             timeout=60)
+    assert run.returncode == cli.EXIT_IO, run.stderr
+    assert run.stderr == "error: [Errno 28] No space left on device\n"
