@@ -328,7 +328,7 @@ def _cmd_gen_corpus(args) -> int:
         with _replacing(args.output, newline=None) as out, \
                 contextlib.closing(_segments(spec, workers)) as segments:
             for names in segments:
-                out.write("\n".join(names))
+                out.write(b"\n".join(names).decode("ascii"))
                 out.write("\n")
     except ShardbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

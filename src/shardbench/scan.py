@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import stat
 import tempfile
 from functools import partial
 from itertools import compress
@@ -71,16 +72,19 @@ def _build_loop(config, level: int) -> tuple[Callable[[list[bytes]], None], list
     return space["loop"], tallies
 
 
-def _scan_chunk(path: str, start: int, end: int, specs,
+def _scan_chunk(path: str, start: int, end: int | None, specs,
                 report) -> tuple[list[list[list[int]]], int]:
     """One pass over a byte range: each (config, level) spec's dense tallies, and its reject count.
+
+    An `end` of None reads to the end of the file. A range from 0 opens the
+    file once, so a pipe or a FIFO can be scanned.
 
     Writes `line N: reason` for each rejected line to the text stream
     `report` as it goes, N counted from the file's first line, in joined
     batches of _REJECTS_PER_WRITE, and returns the number of rejected lines.
     """
     loops = [_build_loop(config, level) for config, level in specs]
-    before = _lines_before(path, start)
+    before = _lines_before(path, start) if start else 0
     batch: list[str] = []
     written = 0
 
@@ -174,14 +178,20 @@ def _scan(path: str, pairs, report) -> tuple[list[Histogram], int]:
 def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
     """The tallies of every (config, level) spec over a corpus file, and its reject count.
 
-    Splits the file into chunks when worthwhile: a forked child scans each
-    chunk but the first, which this process scans meanwhile, reporting its
-    rejects straight to `report`. Each child writes its report to its own
-    anonymous temp file, already numbered from the file's first line. The
-    per-chunk tallies are summed, and the reports copied, in chunk order.
+    Splits a regular file into chunks when worthwhile: a forked child scans
+    each chunk but the first, which this process scans meanwhile, reporting
+    its rejects straight to `report`. Each child writes its report to its
+    own anonymous temp file, already numbered from the file's first line.
+    The per-chunk tallies are summed, and the reports copied, in chunk
+    order. Anything else, such as a pipe or a FIFO, is read by this process
+    alone, from one open to its end.
     """
-    workers = _worker_count(os.path.getsize(path) >= _PARALLEL_MIN_BYTES)
-    first, *rest = _plan_chunks(path, workers)
+    info = os.stat(path)
+    workers = _worker_count(info.st_size >= _PARALLEL_MIN_BYTES)  # warns alike for any file
+    if stat.S_ISREG(info.st_mode):
+        first, *rest = _plan_chunks(path, workers)
+    else:  # it cannot seek, and its size says nothing
+        first, rest = (0, None), []
     reports: list = []  # one per worker; unlinked at creation, so none outlives the scan
     try:
         for _ in rest:
