@@ -159,27 +159,8 @@ def _scan_corpus(path: str, pairs) -> list[Histogram]:
 
 # --- report emission --------------------------------------------------------
 
-def _replacing(path: str, newline: str | None):
-    """A text file for `path` whose old content survives a failed run.
-
-    A missing path or a regular file is written as a temp file beside it and
-    put in its place only once the block completes. Anything else (a symlink,
-    a device such as /dev/null, a FIFO, a directory) is opened as it stands,
-    so output still streams through it.
-    """
-    try:
-        old = os.lstat(path)
-    except FileNotFoundError:
-        return _written_beside(path, newline, None)
-    except OSError:  # open() reports it as it always has
-        old = None
-    if old is None or not stat.S_ISREG(old.st_mode):
-        return open(path, "w", encoding="utf-8", newline=newline)
-    return _written_beside(path, newline, old)
-
-
 @contextlib.contextmanager
-def _written_beside(path: str, newline: str | None, old: os.stat_result | None):
+def _written_beside(path: str, old: os.stat_result | None):
     """A temp file beside `path` that replaces it once the block completes.
 
     The temp file takes the mode of the file it replaces (and its owner,
@@ -193,7 +174,7 @@ def _written_beside(path: str, newline: str | None, old: os.stat_result | None):
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with open(fd, "w", encoding="utf-8", newline=newline) as out:
+        with open(fd, "w", encoding="utf-8", newline="") as out:
             if old is None:
                 mask = os.umask(0)
                 os.umask(mask)
@@ -214,11 +195,27 @@ def _written_beside(path: str, newline: str | None, old: os.stat_result | None):
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """Where a report goes: stdout for None or "-", else a file replaced when complete.
+    """Where a report or a corpus goes: stdout for None or "-", else `path`.
 
-    Writes reach it joined, in _Joined batches.
+    A missing path or a regular file is written as a temp file beside it and
+    put in its place only once the block completes, so its old content
+    survives a failed run. Anything else (a symlink, a device such as
+    /dev/null, a FIFO, a directory) is opened as it stands, so output still
+    streams through it. Writes reach it joined, in _Joined batches.
     """
-    with _stdout() if path is None or path == "-" else _replacing(path, newline="") as out:
+    if path is None or path == "-":
+        target = _stdout()
+    else:
+        try:
+            old = os.lstat(path)
+            replace = stat.S_ISREG(old.st_mode)
+        except FileNotFoundError:
+            old, replace = None, True
+        except OSError:  # open() reports it as it always has
+            replace = False
+        target = (_written_beside(path, old) if replace
+                  else open(path, "w", encoding="utf-8", newline=""))
+    with target as out:
         joined = _Joined(out)
         yield joined
         joined.flush()
@@ -324,15 +321,10 @@ def _cmd_gen_corpus(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     workers = _worker_count(spec.count >= PARALLEL_MIN_NAMES)
-    try:
-        with _replacing(args.output, newline=None) as out, \
-                contextlib.closing(_segments(spec, workers)) as segments:
-            for names in segments:
-                out.write(b"\n".join(names).decode("ascii"))
-                out.write("\n")
-    except ShardbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with _output(args.output) as out, contextlib.closing(_segments(spec, workers)) as segments:
+        for names in segments:
+            out.write(b"\n".join(names).decode("ascii"))
+            out.write("\n")
     print(f"wrote {args.count} names (model={args.model}, seed={args.seed})", file=sys.stderr)
     return EXIT_OK
 
@@ -472,11 +464,7 @@ def _emit_compare(out, fmt: str, rows) -> None:
 
 
 def _cmd_locate(args) -> int:
-    try:
-        name = normalize_username(args.name)
-    except ShardbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    name = normalize_username(args.name)
     strategy, text = _flag_text(args)
     cfg = _config(strategy, text)
     with _stdout() as out:

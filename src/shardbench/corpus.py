@@ -9,7 +9,6 @@ import random
 import sys
 from bisect import bisect_right
 from functools import partial
-from importlib import resources
 from typing import BinaryIO, Callable, Iterator
 
 from .errors import ShardbenchError, SpaceExhausted
@@ -33,6 +32,19 @@ PARALLEL_MIN_NAMES = 20_000
 # The error of a run whose child exited before it had sent all it was asked for.
 _LOST = "a gen-corpus worker exited before its names were drawn"
 
+# First-character weights for the name_like model, loosely modeled on the
+# initials of English given names: a handful of letters carry several times
+# the average mass, and digits and underscore are rare. Weights are
+# relative, not normalized, and every character of ALPHABET has one.
+_FIRST_LETTER = {
+    "a": 7.0, "b": 4.0, "c": 6.5, "d": 9.0, "e": 1.8, "f": 1.5, "g": 1.5,
+    "h": 1.7, "i": 1.2, "j": 8.5, "k": 4.5, "l": 4.0, "m": 12.0, "n": 2.1,
+    "o": 0.9, "p": 1.8, "q": 0.18, "r": 4.5, "s": 10.5, "t": 5.0, "u": 0.5,
+    "v": 0.9, "w": 1.5, "x": 0.12, "y": 0.6, "z": 0.3,
+    "_": 0.4,
+    "0": 0.08, "1": 0.14, "2": 0.12, "3": 0.10, "4": 0.10,
+    "5": 0.10, "6": 0.08, "7": 0.10, "8": 0.10, "9": 0.12,
+}
 # Mid-name transition weights for the name_like model, keyed by the class of
 # the previous character. Vowels hand off to a tight consonant core (r/s/t)
 # and consonants to a tight vowel core (e/i); everything else keeps a small
@@ -66,8 +78,6 @@ _AFTER_OTHER.update({
 
 _TRANSITIONS = {"vowel": _AFTER_VOWEL, "other": _AFTER_OTHER, "consonant": _AFTER_CONSONANT}
 
-_first_letter_weights: dict[str, float] | None = None
-
 
 def _char_class(c: str) -> str:
     if c in VOWELS:
@@ -94,29 +104,6 @@ class CorpusSpec(_Record):
                 f"got {min_len}..{max_len}"
             )
         self._fill(model, count, seed, min_len, max_len)
-
-
-def first_letter_weights() -> dict[str, float]:
-    """The shipped first-character table, loaded once from package data."""
-    global _first_letter_weights
-    if _first_letter_weights is None:
-        text = (
-            resources.files("shardbench")
-            .joinpath("data/first_letter_weights.txt")
-            .read_text(encoding="utf-8")
-        )
-        weights: dict[str, float] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            char, value = line.split()
-            weights[char] = float(value)
-        missing = set(ALPHABET) - set(weights)
-        if missing:
-            raise ShardbenchError(f"first-letter table is missing {sorted(missing)}")
-        _first_letter_weights = weights
-    return _first_letter_weights
 
 
 # In a block's marks each name byte ([0-9A-Za-z_]) reads as `a`, `\n` as
@@ -251,7 +238,7 @@ def distinct_capacity(spec: CorpusSpec) -> int:
                 for cls in _TRANSITIONS}
 
     successors = {cls: by_class(table) for cls, table in _TRANSITIONS.items()}
-    ending = by_class(first_letter_weights())
+    ending = by_class(_FIRST_LETTER)
     capacity = 0
     for length in range(1, spec.max_len + 1):
         if length >= spec.min_len:
@@ -364,7 +351,7 @@ def _drawer(spec: CorpusSpec) -> Callable[[Callable[[], float], int], list[bytes
         first = _thresholds(_cumulative(dict.fromkeys(ALPHABET, 1.0)))
         after = [first] * len(ALPHABET)
     else:
-        first = _thresholds(_cumulative(first_letter_weights()))
+        first = _thresholds(_cumulative(_FIRST_LETTER))
         by_class = {cls: _thresholds(_cumulative(table)) for cls, table in _TRANSITIONS.items()}
         after = [by_class[_char_class(c)] for c in ALPHABET]  # the table after each index
     rest = [range(length - 1) for length in range(min_len, spec.max_len + 1)]  # after the first

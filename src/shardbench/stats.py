@@ -111,7 +111,7 @@ def build_mapping_histogram(ids: range, cfg: MappingConfig) -> Histogram:
         counts[(first_bucket + k) % servers] = (rounds + (k < rest)) * size
     counts[first_bucket % servers] -= first - 1 - first_bucket * size
     counts[last_bucket % servers] -= (last_bucket + 1) * size - last
-    return Histogram(counts, len(ids))
+    return Histogram(counts, ids.stop - ids.start)  # len(ids) fails past sys.maxsize
 
 
 def compute_stats(h: Histogram) -> DistributionStats:

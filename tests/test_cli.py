@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: verbs, formats, exit codes, parallel scanning."""
 
+import csv
 import json
 import os
 import stat
@@ -34,6 +35,18 @@ def test_gen_corpus_is_deterministic(tmp_path, capsys):
     assert "wrote 200 names" in err
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("count", [1, 3000])
+def test_gen_corpus_to_stdout_writes_the_file_bytes(tmp_path, capfdbinary, count):
+    args = ["gen-corpus", "--model", "name-like", "--count", str(count), "--seed", "11", "-o"]
+    assert main(args + [str(tmp_path / "names.txt")]) == EXIT_OK
+    capfdbinary.readouterr()
+    assert main(args + ["-"]) == EXIT_OK
+    out, err = capfdbinary.readouterr()
+    assert out == (tmp_path / "names.txt").read_bytes()
+    assert err == f"wrote {count} names (model=name-like, seed=11)\n".encode()
+    assert os.listdir(tmp_path) == ["names.txt"]
 
 
 def test_gen_corpus_overdrawn_space(tmp_path, capsys):
@@ -142,6 +155,29 @@ def test_analyze_mapping_even_range(capsys):
     assert report["bucket_count"] == 10
     assert report["total"] == 1_000
     assert report["deviation_ratio"] == 0.0
+
+
+LONG_IDS = "1..99999999999999999999"  # more IDs than sys.maxsize, so no len() of their range
+
+
+def test_analyze_mapping_over_a_range_longer_than_maxsize(capsys):
+    assert main(["analyze", "--strategy", "mapping", "--ids", LONG_IDS,
+                 "--bucket-size", "1", "--servers", "3"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["total"] == 99999999999999999999
+    assert report["counts"] == [33333333333333333333] * 3
+    assert err.endswith(" skipped=0\n")
+
+
+def test_compare_mapping_over_a_range_longer_than_maxsize(corpus_path, capsys):
+    assert main(["compare", corpus_path, "--strategy", "mapping:1,3", "--strategy", "md5",
+                 "--ids", LONG_IDS, "--format", "csv"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    rows = {row[0]: row for row in csv.reader(out.splitlines()[1:])}
+    assert rows["mapping[1,3]"][1:5] == ["0", "3", "3.33333e+19", "0"]
+    assert "md5" in rows
+    assert err == ""
 
 
 def test_analyze_mapping_requires_ids(capsys):

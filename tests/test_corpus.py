@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shardbench.corpus import (
+    _FIRST_LETTER,
     _TRANSITIONS,
     CorpusSpec,
     _cumulative,
     _segments,
     _thresholds,
     distinct_capacity,
-    first_letter_weights,
     generate_corpus,
     load_corpus,
 )
@@ -86,7 +86,6 @@ def test_the_generator_holds_its_names_as_bytes_and_little_else(model):
     # gen-corpus's memory: held as str, each name would cost 16 bytes more
     # on CPython 3.11, 312 KiB over these 20,000 names.
     spec = CorpusSpec(model, 20_000, 3)
-    first_letter_weights()  # loaded once per process, and not part of a run
     tracemalloc.start()
     try:
         written = 0
@@ -142,9 +141,8 @@ def test_spec_validation():
 
 
 def test_first_letter_table_covers_alphabet():
-    weights = first_letter_weights()
-    assert set(weights) == set(ALPHABET)
-    assert all(w > 0 for w in weights.values())
+    assert set(_FIRST_LETTER) == set(ALPHABET)
+    assert all(w > 0 for w in _FIRST_LETTER.values())
 
 
 def test_capacity_uniform_is_power_sum():
@@ -169,7 +167,7 @@ def _name_like_capacity_by_character(spec):
 
     supports = {cls: [c for c in ALPHABET if table.get(c, 0.0) > 0]
                 for cls, table in _TRANSITIONS.items()}
-    reachable = {c: 1 for c in ALPHABET if first_letter_weights().get(c, 0.0) > 0}
+    reachable = {c: 1 for c in ALPHABET if _FIRST_LETTER.get(c, 0.0) > 0}
     capacity = 0
     for length in range(1, spec.max_len + 1):
         if length >= spec.min_len:
@@ -239,7 +237,7 @@ def test_load_corpus_yields_the_username_of_each_accepted_line(tmp_path):
 
 def _weights(table: str) -> dict[str, float]:
     if table == "first":
-        return first_letter_weights()
+        return _FIRST_LETTER
     if table == "uniform":
         return dict.fromkeys(ALPHABET, 1.0)
     return _TRANSITIONS[table]

@@ -173,7 +173,7 @@ class _FailingOutput:
 def _gen_corpus_writing_to(monkeypatch, output) -> list[int]:
     """Let gen-corpus write to `output`, with 3 workers: the pids it forks."""
     monkeypatch.setenv("SHARDBENCH_THREADS", "3")
-    monkeypatch.setattr(cli, "_replacing", lambda path, newline: contextlib.nullcontext(output))
+    monkeypatch.setattr(cli, "_written_beside", lambda path, old: contextlib.nullcontext(output))
     return _spy_on_fork(monkeypatch)
 
 
