@@ -374,8 +374,8 @@ def _parse_strategy_spec(spec: str) -> tuple[_Strategy, object]:
 def _compare_steps(specs, levels: list[int], ids: str | None):
     """compare's (level, strategy, config, note) steps in report order; a note replaces a row.
 
-    A step whose row would fail raises here, so a caller that collects the
-    steps before scanning can replay everything up to the failure first.
+    A step whose row would fail raises here, so collecting the steps checks
+    every one of them before the corpus is read.
     """
     for level in levels:
         for strategy, config in specs:
@@ -402,13 +402,7 @@ def _cmd_compare(args) -> int:
         raise UsageError("compare needs at least two --strategy specs")
     levels = args.level or [0]
     specs = [_parse_strategy_spec(s) for s in args.strategy]
-    steps = []
-    error = None
-    try:
-        for step in _compare_steps(specs, levels, args.ids):
-            steps.append(step)
-    except (UsageError, ShardbenchError) as exc:
-        error = exc
+    steps = list(_compare_steps(specs, levels, args.ids))
     scans = [(config, level) for level, strategy, config, note in steps
              if note is None and strategy.flag is not None]
     scanned = None
@@ -430,8 +424,6 @@ def _cmd_compare(args) -> int:
             continue
         stats = compute_stats(histogram)
         rows.append((level, stats.deviation_ratio, label, histogram, stats))
-    if error is not None:
-        raise error
     if not rows:
         print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
         return EXIT_EMPTY

@@ -14,6 +14,7 @@ from itertools import compress
 from operator import add
 from typing import Callable
 
+from . import corpus
 from .corpus import NAME_END, read_names
 from .stats import Histogram, joint_bucket_count
 from .strategies import _md5
@@ -21,7 +22,6 @@ from .workers import _forked, _receive, _send, _worker_count
 
 _PARALLEL_MIN_BYTES = 4 << 20
 _REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
-_COUNT_BYTES = 1 << 20  # bytes read per newline count
 _COPY_CHARS = 1 << 16  # characters of a worker's reject report copied per write
 
 
@@ -72,19 +72,18 @@ def _build_loop(config, level: int) -> tuple[Callable[[list[bytes]], None], list
     return space["loop"], tallies
 
 
-def _scan_chunk(path: str, start: int, end: int | None, specs,
+def _scan_chunk(path: str, start: int, end: int | None, before: int, loops,
                 report) -> tuple[list[list[list[int]]], int]:
-    """One pass over a byte range: each (config, level) spec's dense tallies, and its reject count.
+    """One pass over a byte range, after `before` lines: each loop's tallies, and its reject count.
 
-    An `end` of None reads to the end of the file. A range from 0 opens the
-    file once, so a pipe or a FIFO can be scanned.
+    Runs each _build_loop() loop over the range's names, and returns the
+    tallies they fill. An `end` of None reads to the end of the file. A
+    range from 0 opens the file once, so a pipe or a FIFO can be scanned.
 
     Writes `line N: reason` for each rejected line to the text stream
     `report` as it goes, N counted from the file's first line, in joined
     batches of _REJECTS_PER_WRITE, and returns the number of rejected lines.
     """
-    loops = [_build_loop(config, level) for config, level in specs]
-    before = _lines_before(path, start) if start else 0
     batch: list[str] = []
     written = 0
 
@@ -102,19 +101,6 @@ def _scan_chunk(path: str, start: int, end: int | None, specs,
     if batch:
         report.write("".join(batch))
     return [tallies for _, tallies in loops], written + len(batch)
-
-
-def _lines_before(path: str, offset: int) -> int:
-    """The lines that end in the file's first `offset` bytes."""
-    lines = 0
-    with open(path, "rb") as handle:
-        while offset > 0:
-            block = handle.read(min(_COUNT_BYTES, offset))
-            if not block:
-                break
-            lines += block.count(b"\n")
-            offset -= len(block)
-    return lines
 
 
 def _levels(tallies: list[list[int]], moduli: tuple[int, ...], lowest: int) -> dict[int, Histogram]:
@@ -139,20 +125,30 @@ def _levels(tallies: list[list[int]], moduli: tuple[int, ...], lowest: int) -> d
     return levels
 
 
-def _plan_chunks(path: str, workers: int) -> list[tuple[int, int]]:
-    """Newline-aligned (start, end) byte ranges covering the file."""
+def _plan_chunks(path: str, workers: int) -> list[tuple[int, int, int]]:
+    """Newline-aligned (start, end, lines before start) byte ranges covering the file.
+
+    Each range but the first starts just past the first newline at or after
+    an even share of the file. One read up to the last such newline, in
+    blocks of corpus._BLOCK bytes, finds them and counts the lines before.
+    """
     size = os.path.getsize(path)
     if workers <= 1:
-        return [(0, size)]
-    bounds = [0]
+        return [(0, size, 0)]
+    cuts = [size * i // workers for i in range(1, workers)]
+    starts = [(0, 0)]
+    at = lines = 0  # the offset of the block in hand, and the lines before it
     with open(path, "rb") as handle:
-        for i in range(1, workers):
-            handle.seek(size * i // workers)
-            aligned = handle.tell() + len(handle.readline())  # just past the next newline
-            if bounds[-1] < aligned < size:
-                bounds.append(aligned)
-    bounds.append(size)
-    return list(zip(bounds, bounds[1:]))
+        while cuts and (block := handle.read(corpus._BLOCK)):
+            while cuts and (newline := block.find(b"\n", max(cuts[0] - at, 0))) >= 0:
+                start = at + newline + 1
+                if starts[-1][0] < start < size:
+                    starts.append((start, lines + block.count(b"\n", 0, newline + 1)))
+                del cuts[0]
+            lines += block.count(b"\n")
+            at += len(block)
+    ends = [start for start, _ in starts[1:]] + [size]
+    return [(start, end, before) for (start, before), end in zip(starts, ends)]
 
 
 def _scan(path: str, pairs, report) -> tuple[list[Histogram], int]:
@@ -178,10 +174,12 @@ def _scan(path: str, pairs, report) -> tuple[list[Histogram], int]:
 def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
     """The tallies of every (config, level) spec over a corpus file, and its reject count.
 
+    Builds each spec's loop, and plans the chunks, before any work starts.
     Splits a regular file into chunks when worthwhile: a forked child scans
     each chunk but the first, which this process scans meanwhile, reporting
-    its rejects straight to `report`. Each child writes its report to its
-    own anonymous temp file, already numbered from the file's first line.
+    its rejects straight to `report`. A child inherits the loops, and its
+    own copy of their tallies. Each child writes its report to its own
+    anonymous temp file, already numbered from the file's first line.
     The per-chunk tallies are summed, and the reports copied, in chunk
     order. Anything else, such as a pipe or a FIFO, is read by this process
     alone, from one open to its end.
@@ -191,16 +189,17 @@ def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
     if stat.S_ISREG(info.st_mode):
         first, *rest = _plan_chunks(path, workers)
     else:  # it cannot seek, and its size says nothing
-        first, rest = (0, None), []
+        first, rest = (0, None, 0), []
+    loops = [_build_loop(config, level) for config, level in specs]
     reports: list = []  # one per worker; unlinked at creation, so none outlives the scan
     try:
         for _ in rest:
             reports.append(tempfile.TemporaryFile("w+", encoding="utf-8",
                                                   errors="surrogateescape", newline=""))
-        with _forked([partial(_send_chunk, path, *chunk, specs, chunk_report)
+        with _forked([partial(_send_chunk, path, *chunk, loops, chunk_report)
                       for chunk, chunk_report in zip(rest, reports)]) as pipes:
-            tallies, rejected = _scan_chunk(path, *first, specs, report)
-            for pipe, (start, end), chunk_report in zip(pipes, rest, reports):
+            tallies, rejected = _scan_chunk(path, *first, loops, report)
+            for pipe, (start, end, _), chunk_report in zip(pipes, rest, reports):
                 lost = f"the worker scanning bytes {start}..{end} of {path} exited without a result"
                 partials, partial_rejected = _receive(pipe, lost)
                 for spec, sparse in zip(tallies, partials):
@@ -216,7 +215,7 @@ def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
     return tallies, rejected
 
 
-def _send_chunk(path: str, start: int, end: int, specs, report, pipe) -> None:
+def _send_chunk(path: str, start: int, end: int, before: int, loops, report, pipe) -> None:
     """In a forked child: scan one chunk and send its result to `pipe`.
 
     Writes the chunk's reject report to the text file `report`, then sends
@@ -224,7 +223,7 @@ def _send_chunk(path: str, start: int, end: int, specs, report, pipe) -> None:
     frame, with each tally sparse, as (indices, counts) of its nonzero
     buckets.
     """
-    tallies, rejected = _scan_chunk(path, start, end, specs, report)
+    tallies, rejected = _scan_chunk(path, start, end, before, loops, report)
     report.flush()
     _send(pipe, ([[(list(compress(range(len(t)), t)), list(filter(None, t))) for t in spec]
                   for spec in tallies], rejected))

@@ -124,13 +124,16 @@ def compute_stats(h: Histogram) -> DistributionStats:
         raise EmptyHistogram("histogram has no placed entries")
     bucket_count = h.bucket_count
     ideal_mean = h.total / bucket_count
-    # fsum is correctly rounded, so each distinct count's term can be added
-    # once per bucket holding it, in any order, and give the same bits.
     counts = h.counts
-    groups = Counter(filter(None, counts))
-    groups[0] = counts.count(0)
-    terms = chain.from_iterable(repeat((c - ideal_mean) ** 2, n) for c, n in groups.items())
-    variance = math.fsum(terms) / bucket_count
+    if h.total > 2 ** 53:  # counts past the float grid: an exact integer variance
+        variance = (bucket_count * sum(c * c for c in counts) - h.total ** 2) / bucket_count ** 2
+    else:
+        # fsum is correctly rounded, so each distinct count's term can be added
+        # once per bucket holding it, in any order, and give the same bits.
+        groups = Counter(filter(None, counts))
+        groups[0] = counts.count(0)
+        terms = chain.from_iterable(repeat((c - ideal_mean) ** 2, n) for c, n in groups.items())
+        variance = math.fsum(terms) / bucket_count
     std_dev = math.sqrt(variance)
     return DistributionStats(ideal_mean, std_dev, std_dev / ideal_mean)
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import stat
 
@@ -168,6 +169,17 @@ def test_analyze_mapping_over_a_range_longer_than_maxsize(capsys):
     assert report["total"] == 99999999999999999999
     assert report["counts"] == [33333333333333333333] * 3
     assert err.endswith(" skipped=0\n")
+
+
+# Loads one apart past 2^53, where a float mean rounds them all to the same value.
+@pytest.mark.parametrize("ids, servers, std_dev", [
+    ("1..100000000000000000001", "3", math.sqrt(2 / 9)),  # loads n+1, n+1, n
+    ("1..9007199254740993", "2", 0.5),  # loads n+1, n with n = 2^52
+])
+def test_analyze_mapping_spread_is_exact_past_2_to_the_53(ids, servers, std_dev, capsys):
+    assert main(["analyze", "--strategy", "mapping", "--ids", ids, "--bucket-size", "1",
+                 "--servers", servers, "--no-counts"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["std_dev"] == std_dev
 
 
 def test_compare_mapping_over_a_range_longer_than_maxsize(corpus_path, capsys):

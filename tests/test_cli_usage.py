@@ -244,3 +244,24 @@ def test_compare_refuses_mapping_servers_over_the_dense_cap_before_it_scans(
             "--ids", "1..10"]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr() == ("", OVER_CAP)
+
+
+# Each bad step comes after a scanned md5 step, on a corpus with rejects: the
+# scan would print them, and its reject count, before the error.
+@pytest.mark.parametrize("flags, message", [
+    (["--strategy", "mapping:1,3"],
+     "usage error: mapping strategies in compare require --ids A..B\n"),
+    (["--strategy", "mapping:1,3", "--ids", "10..1"],
+     "usage error: --ids needs 1 <= A <= B, got '10..1'\n"),
+    (["--strategy", "mapping:1,2097153", "--ids", "1..10"], OVER_CAP),
+    (["--strategy", "ascii-sum:1500,1500", "--level", "0", "--level", "1"],
+     "error: joint space 2250000 exceeds dense cap 2097152\n"),
+])
+def test_compare_checks_every_step_before_it_reads_the_corpus(
+        dirty_path, monkeypatch, capsys, flags, message):
+    def refuse(*args):
+        raise AssertionError("compare read the corpus before refusing")
+
+    monkeypatch.setattr(scan, "_scan", refuse)
+    assert main(["compare", dirty_path, "--strategy", "md5", *flags]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", message)

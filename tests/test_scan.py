@@ -116,10 +116,12 @@ def test_serial_kernel_and_load_corpus_match_the_oracle(corpus_file, data):
     assert loaded_rejects == rejects
 
 
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=FILES, threads=st.integers(2, 4))
-def test_pooled_kernel_matches_the_oracle(corpus_file, data, threads):
-    _check_kernel(corpus_file, data, threads)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=FILES, threads=st.integers(2, 4), block=st.sampled_from([1, 7, 16 << 10]))
+def test_pooled_kernel_matches_the_oracle(corpus_file, data, threads, block):
+    # Small blocks move the planner's split points and line counts across block edges.
+    with mock.patch.object(corpus, "_BLOCK", block):
+        _check_kernel(corpus_file, data, threads)
 
 
 def test_load_corpus_reports_an_undecodable_line_and_goes_on(tmp_path):
@@ -235,6 +237,58 @@ def test_reader_edge_cases_match_the_oracle(tmp_path, threads, block, data):
         _check_kernel(tmp_path / "names.txt", data, threads)
 
 
+def _plan_rule(data: bytes, workers: int) -> list[int]:
+    """The range starts: just past the first newline at or after each even share of the file."""
+    starts = [0]
+    for i in range(1, workers):
+        start = data.find(b"\n", len(data) * i // workers) + 1
+        if starts[-1] < start < len(data):
+            starts.append(start)
+    return starts
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=FILES)
+@example(data=b"")
+@example(data=b"\n\n\n\n")
+@example(data=b"abcdefghijklmnop\r\n\nq\r\n" + b"r" * 20)
+def test_the_plan_tiles_the_file_and_counts_the_lines_before_each_range(
+        corpus_file, block, data):
+    corpus_file.write_bytes(data)
+    for workers in range(1, 5):
+        with mock.patch.object(corpus, "_BLOCK", block):
+            plan = scan._plan_chunks(str(corpus_file), workers)
+        starts = [start for start, _, _ in plan]
+        assert starts == _plan_rule(data, workers)
+        assert [end for _, end, _ in plan] == starts[1:] + [len(data)]
+        for start, _, before in plan:
+            assert start == 0 or data[start - 1] == ord("\n")
+            assert before == data[:start].count(b"\n")
+
+
+def test_each_loop_compiles_once_per_scan_before_any_fork(tmp_path, monkeypatch):
+    path = _pooled_corpus(tmp_path)
+    this_process = os.getpid()
+    built = []
+    build_loop = scan._build_loop
+
+    def spy(config, level):
+        if os.getpid() != this_process:
+            raise AssertionError("a worker compiled a loop")
+        built.append((config, level))
+        return build_loop(config, level)
+
+    monkeypatch.setattr(scan, "_build_loop", spy)
+    monkeypatch.setenv("SHARDBENCH_THREADS", "3")
+    assert len(scan._plan_chunks(str(path), 3)) == 3
+    pairs = [(Md5Config(), 0), (LetterConfig(4), 2), (Md5Config(), 1)]
+    (md5, letter, _), report, rejected = scanned(path, pairs)
+    assert built == [(Md5Config(), 1), (LetterConfig(4), 2)]
+    assert (md5.total, letter.total + letter.skipped, report, rejected) == \
+        (400, 400, "line 401: invalid character ' ' at position 3\n", 1)
+
+
 def test_builtin_md5_matches_hashlib():
     for name in [b"\n", b"frank\n", b"a" * 64 + b"\n", b"user_0042\n"]:
         assert scan._md5(name).digest() == hashlib.md5(name).digest()
@@ -277,7 +331,7 @@ def _dirty_in_every_chunk(tmp_path, chunks):
     data = path.read_bytes()
     planned = scan._plan_chunks(str(path), chunks)
     assert len(planned) == chunks
-    for start, end in planned:
+    for start, end, _ in planned:
         chunk = data[start:end]
         assert oracle(chunk)[1] and b"\n\n" in chunk, (start, end)
     return path, oracle(data)
@@ -380,8 +434,8 @@ def test_a_spec_is_folded_only_down_to_its_shallowest_level(tmp_path, monkeypatc
 def test_md5_tallies_no_names_below_its_deepest_level(tmp_path):
     path = tmp_path / "names.txt"
     path.write_bytes(b"al\nbob\ncarol\n")
-    (tallies,), _ = scan._scan_chunk(str(path), 0, path.stat().st_size, [(Md5Config(), 2)],
-                                     io.StringIO())
+    (tallies,), _ = scan._scan_chunk(str(path), 0, path.stat().st_size, 0,
+                                     [scan._build_loop(Md5Config(), 2)], io.StringIO())
     assert [len(t) for t in tallies] == [0, 0, 64 * 64 * 128]
     assert sum(tallies[-1]) == 3
 
@@ -442,10 +496,10 @@ def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypa
     temp = _temp_dir(tmp_path, monkeypatch)
     scan_chunk = scan._scan_chunk
 
-    def failing(path, start, end, specs, report, fails=lambda start: True):
+    def failing(path, start, end, before, loops, report, fails=lambda start: True):
         if fails(start):
             raise OSError(5, "Input/output error", path)
-        return scan_chunk(path, start, end, specs, report)
+        return scan_chunk(path, start, end, before, loops, report)
 
     argv = ["analyze", str(path), "--strategy", "md5", "--level", "1"]
     monkeypatch.setattr(scan, "_scan_chunk", failing)
@@ -467,14 +521,14 @@ def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatc
     temp = _temp_dir(tmp_path, monkeypatch)
     scan_chunk = scan._scan_chunk
 
-    def vanishing(path, start, end, specs, report):
+    def vanishing(path, start, end, before, loops, report):
         if start > 0:
             os._exit(0)
-        return scan_chunk(path, start, end, specs, report)
+        return scan_chunk(path, start, end, before, loops, report)
 
     monkeypatch.setattr(scan, "_scan_chunk", vanishing)
     monkeypatch.setenv("SHARDBENCH_THREADS", "2")
-    _, (start, size) = scan._plan_chunks(str(path), 2)
+    _, (start, size, _) = scan._plan_chunks(str(path), 2)
     assert cli.main(["analyze", str(path), "--strategy", "md5"]) == cli.EXIT_IO
     assert capsys.readouterr() == ("", f"error: the worker scanning bytes {start}..{size} of "
                                        f"{path} exited without a result\n")

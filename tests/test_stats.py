@@ -1,6 +1,7 @@
 """Histogram building, merging, and the deviation statistics."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -74,6 +75,33 @@ def test_compute_stats_matches_a_sum_over_every_bucket_bit_for_bit(counts):
     assert stats.ideal_mean.hex() == ideal_mean.hex()
     assert stats.std_dev.hex() == std_dev.hex()
     assert stats.deviation_ratio.hex() == (std_dev / ideal_mean).hex()
+
+
+def _float_spread(counts):
+    """The std_dev of a sum over every bucket in floats, as compute_stats gives it to 2^53."""
+    ideal_mean = sum(counts) / len(counts)
+    return math.sqrt(math.fsum((c - ideal_mean) ** 2 for c in counts) / len(counts))
+
+
+# Totals up to 2^53, the largest the float path keeps: counts near 2^53 / 8.
+@given(counts=st.lists(st.one_of(st.integers(0, 3), st.integers(2**49, 2**50)),
+                       min_size=1, max_size=8).filter(any))
+@example(counts=[2**52, 2**52])
+@example(counts=[2**52 + 1, 2**52 - 1])
+def test_compute_stats_keeps_the_float_bits_to_a_total_of_2_to_the_53(counts):
+    assert sum(counts) <= 2**53
+    assert compute_stats(Histogram(counts, sum(counts))).std_dev.hex() == \
+        _float_spread(counts).hex()
+
+
+@given(counts=st.lists(st.integers(0, 10**30), min_size=1, max_size=20)
+       .filter(lambda counts: sum(counts) > 2**53))
+@example(counts=[2**52 + 1, 2**52])
+@example(counts=[10**20 // 3 + 1] * 2 + [10**20 // 3])
+def test_compute_stats_is_exact_past_a_total_of_2_to_the_53(counts):
+    buckets, total = len(counts), sum(counts)
+    variance = sum((Fraction(c) - Fraction(total, buckets)) ** 2 for c in counts) / buckets
+    assert compute_stats(Histogram(counts, total)).std_dev == math.sqrt(variance)
 
 
 def test_compute_stats_rejects_empty():
