@@ -145,18 +145,6 @@ def _parse_ids(text: str) -> range:
     return range(first, last + 1)
 
 
-# --- corpus scanning -------------------------------------------------------
-
-def _scan_corpus(path: str, pairs) -> list[Histogram]:
-    """Each (config, level) pair's histogram over a corpus; rejects go to stderr as found."""
-    from . import scan  # here, not at module level: only the scanning verbs compile the kernel
-
-    histograms, rejected = scan._scan(path, pairs, sys.stderr)
-    if rejected:
-        print(f"{rejected} lines rejected", file=sys.stderr)
-    return histograms
-
-
 # --- report emission --------------------------------------------------------
 
 @contextlib.contextmanager
@@ -351,7 +339,9 @@ def _cmd_analyze(args) -> int:
         if not 0 <= args.level < len(cfg.level_moduli):
             raise UsageError(f"level {args.level} outside 0..{len(cfg.level_moduli) - 1}")
         echo = {strategy.flag: cfg._values()[0]}  # a username config's one field
-        (histogram,) = _scan_corpus(args.corpus, [(cfg, args.level)])
+        from . import scan  # here, not at module level: only the scanning verbs load the kernel
+
+        (histogram,) = scan._scan(args.corpus, [(cfg, args.level)], sys.stderr)
     if histogram.total == 0:
         print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
         return EXIT_EMPTY
@@ -416,7 +406,9 @@ def _cmd_compare(args) -> int:
             label = f"{strategy.name}[{config.bucket_size},{config.num_servers}]"
         else:
             if scanned is None:  # one pass over the corpus serves every scanned step
-                scanned = iter(_scan_corpus(args.corpus, scans))
+                from . import scan  # as in _cmd_analyze
+
+                scanned = iter(scan._scan(args.corpus, scans, sys.stderr))
             histogram = next(scanned)
             label = strategy.name
         if histogram.total == 0:
@@ -600,7 +592,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ShardbenchError as exc:
+    except (ShardbenchError, OverflowError) as exc:  # the latter: a spread past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

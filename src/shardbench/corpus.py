@@ -125,28 +125,26 @@ NAME_END = b"\n"
 
 
 def read_names(
-    path,
-    on_reject: Callable[[int, str], None] | None = None,
-    start: int = 0,
-    end: int | None = None,
-) -> Iterator[list[bytes]]:
-    """Yield the valid names of each block of lines, in file order.
+    path, start: int = 0, end: int | None = None, first_line: int = 1,
+) -> Iterator[tuple[list[bytes], list[tuple[int, str]]]]:
+    """Yield (valid names, rejects) for each block of lines, in file order.
 
     Reads lines split on b"\\n" from byte offset `start` (the start of a
-    line, numbered 1) up to `end`, or to the end of the file, in blocks of
-    whole lines. Each line is trimmed and validated exactly as
-    normalize_username() does; undecodable and invalid lines are reported
-    through on_reject(line_number, reason) and skipped, and blank lines are
-    skipped silently. Every yielded list holds lowercased ASCII names, each
-    ending in NAME_END whether or not its line did.
+    line, numbered `first_line`) up to `end`, or to the end of the file, in
+    blocks of whole lines. Each line is trimmed and validated exactly as
+    normalize_username() does. A block's names are lowercased ASCII, each
+    ending in NAME_END whether or not its line did; its rejects are the
+    (line_number, reason) of each undecodable or invalid line, in line
+    order. Blank lines are skipped silently.
     """
-    line_number = 1
+    line_number = first_line
     for block in _blocks(path, start, sys.maxsize if end is None else end):
         marks = block.translate(_MARKS).replace(_OVERLONG, b"!" * len(_OVERLONG))
         lines = block.translate(_FOLD).splitlines(True)
         # The checked lines are found in file order, so `index` only counts
         # forward and rejects come in line order. A line is checked while it
         # is still as read, so its length gives its start.
+        rejects = []
         at = marks.find(b"!")
         seen = index = 0
         while at >= 0:
@@ -155,8 +153,8 @@ def read_names(
             seen = at
             name, reason = _check_line(block[stop + 1 - len(lines[index]):stop])
             lines[index] = b"\n" if name is None else name + NAME_END
-            if reason is not None and on_reject is not None:
-                on_reject(line_number + index, reason)
+            if reason is not None:
+                rejects.append((line_number + index, reason))
             at = marks.find(b"!", stop)
         line_number += len(lines)
         # Blank lines, and the dropped ones now made blank, are all that read b"\n".
@@ -167,7 +165,7 @@ def read_names(
                 del lines[index]
         except ValueError:  # none left
             pass
-        yield lines
+        yield lines, rejects
 
 
 def _blocks(path, start: int, end: int) -> Iterator[bytes]:
@@ -213,7 +211,10 @@ def load_corpus(
     included, are reported through on_reject(line_number, reason) and
     skipped; the stream never aborts on bad input.
     """
-    for names in read_names(path, on_reject):
+    for names, rejects in read_names(path):
+        if on_reject is not None:
+            for number, reason in rejects:
+                on_reject(number, reason)
         yield from map(_username, b"".join(names).decode("ascii").splitlines())
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 from .errors import EmptyName, InvalidCharacter, TooLong
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz_"
@@ -12,9 +10,6 @@ MAX_USERNAME_LENGTH = 64
 _CHAR_INDEX = {c: i for i, c in enumerate(ALPHABET)}
 # Folds A-Z alone: str.lower() would also fold "É", "İ" and the Kelvin sign.
 _ASCII_FOLD = {c: c + 32 for c in range(ord("A"), ord("Z") + 1)}
-# Exactly the strings Username accepts; any other value takes the walk in
-# Username.__new__, which finds the reason.
-_VALID = re.compile(r"[0-9a-z_]{1,%d}" % MAX_USERNAME_LENGTH)
 
 
 class Username(str):
@@ -27,18 +22,13 @@ class Username(str):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Username":
-        try:
-            valid = _VALID.fullmatch(value)
-        except TypeError:  # not a string: the walk treats it as it always has
-            valid = None
-        if valid is None:
-            if not value:
-                raise EmptyName("username is empty")
-            if len(value) > MAX_USERNAME_LENGTH:
-                raise TooLong(f"username has {len(value)} characters, max {MAX_USERNAME_LENGTH}")
-            for position, char in enumerate(value):
-                if char not in _CHAR_INDEX:
-                    raise InvalidCharacter(char, position)
+        if not value:
+            raise EmptyName("username is empty")
+        if len(value) > MAX_USERNAME_LENGTH:
+            raise TooLong(f"username has {len(value)} characters, max {MAX_USERNAME_LENGTH}")
+        for position, char in enumerate(value):
+            if char not in _CHAR_INDEX:
+                raise InvalidCharacter(char, position)
         return super().__new__(cls, value)
 
 

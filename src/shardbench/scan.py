@@ -21,8 +21,6 @@ from .strategies import _md5
 from .workers import _forked, _receive, _send, _worker_count
 
 _PARALLEL_MIN_BYTES = 4 << 20
-_REJECTS_PER_WRITE = 1024  # reject report lines joined per write; more raise peak RSS
-_COPY_CHARS = 1 << 16  # characters of a worker's reject report copied per write
 
 
 # Kernel loops: one per strategy spec, at the deepest level asked of it. Each
@@ -81,26 +79,17 @@ def _scan_chunk(path: str, start: int, end: int | None, before: int, loops,
     range from 0 opens the file once, so a pipe or a FIFO can be scanned.
 
     Writes `line N: reason` for each rejected line to the text stream
-    `report` as it goes, N counted from the file's first line, in joined
-    batches of _REJECTS_PER_WRITE, and returns the number of rejected lines.
+    `report` as it goes, N counted from the file's first line, one joined
+    write per block, and returns the number of rejected lines.
     """
-    batch: list[str] = []
-    written = 0
-
-    def reject(number: int, reason: str) -> None:
-        nonlocal written
-        batch.append(f"line {number + before}: {reason}\n")
-        if len(batch) == _REJECTS_PER_WRITE:  # a line-buffered stream writes once per newline
-            report.write("".join(batch))
-            written += len(batch)
-            batch.clear()
-
-    for names in read_names(path, reject, start, end):
+    rejected = 0
+    for names, rejects in read_names(path, start, end, before + 1):
         for loop, _ in loops:
             loop(names)
-    if batch:
-        report.write("".join(batch))
-    return [tallies for _, tallies in loops], written + len(batch)
+        if rejects:  # a line-buffered stream writes once per newline, unless joined
+            report.write("".join([f"line {number}: {reason}\n" for number, reason in rejects]))
+            rejected += len(rejects)
+    return [tallies for _, tallies in loops], rejected
 
 
 def _levels(tallies: list[list[int]], moduli: tuple[int, ...], lowest: int) -> dict[int, Histogram]:
@@ -151,14 +140,14 @@ def _plan_chunks(path: str, workers: int) -> list[tuple[int, int, int]]:
     return [(start, end, before) for (start, before), end in zip(starts, ends)]
 
 
-def _scan(path: str, pairs, report) -> tuple[list[Histogram], int]:
+def _scan(path: str, pairs, report) -> list[Histogram]:
     """Histogram a corpus file once for every (config, level) pair.
 
     Scans each distinct config, a spec, once at its deepest level, and
     folds it down to its shallowest; configs compare by value. Writes each
     rejected line's `line N: reason` to the text stream `report` in file
-    order, as the scan goes. Returns the histograms, in pair order, and the
-    number of rejected lines.
+    order, as the scan goes, then `N lines rejected` if any were. Returns
+    the histograms, in pair order.
     """
     spans: dict[object, tuple[int, int]] = {}  # (shallowest, deepest) level
     for config, level in pairs:
@@ -166,9 +155,11 @@ def _scan(path: str, pairs, report) -> tuple[list[Histogram], int]:
         spans[config] = min(low, level), max(high, level)
     tallies, rejected = _scan_specs(path, [(config, high) for config, (_, high) in spans.items()],
                                     report)
+    if rejected:
+        report.write(f"{rejected} lines rejected\n")
     levels = {config: _levels(spec_tallies, config.level_moduli, low)
               for (config, (low, _)), spec_tallies in zip(spans.items(), tallies)}
-    return [levels[config][level] for config, level in pairs], rejected
+    return [levels[config][level] for config, level in pairs]
 
 
 def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
@@ -207,7 +198,7 @@ def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
                         for i, count in zip(indices, counts):
                             tally[i] += count
                 chunk_report.seek(0)
-                shutil.copyfileobj(chunk_report, report, _COPY_CHARS)
+                shutil.copyfileobj(chunk_report, report)
                 rejected += partial_rejected
     finally:
         for chunk_report in reports:

@@ -188,7 +188,7 @@ def test_criterion_08_oracle_equivalence(tmp_path, monkeypatch):
                 streamed = build_histogram(names, placement_fn, moduli, level)
                 assert streamed.counts == expected
                 assert streamed.skipped == skipped
-                (parallel,), _ = scan._scan(str(path), [(cfg, level)], io.StringIO())
+                (parallel,) = scan._scan(str(path), [(cfg, level)], io.StringIO())
                 assert parallel.counts == expected
                 assert parallel.total == streamed.total
                 assert parallel.skipped == skipped

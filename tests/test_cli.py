@@ -182,6 +182,22 @@ def test_analyze_mapping_spread_is_exact_past_2_to_the_53(ids, servers, std_dev,
     assert json.loads(capsys.readouterr().out)["std_dev"] == std_dev
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--strategy", "mapping", "--ids", f"1..{10**400}", "--bucket-size", "1",
+     "--servers", "3", "--no-counts"],
+    ["compare", os.devnull, "--strategy", "mapping:1,3", "--strategy", "mapping:2,3",
+     "--ids", f"1..{10**400}"],
+    ["analyze", "--strategy", "mapping", "--ids", f"1..{10**200}",
+     "--bucket-size", str(3 * 10**199), "--servers", "3", "--no-counts"],
+], ids=["analyze-mean", "compare-mean", "analyze-variance"])
+def test_a_spread_past_the_float_range_is_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"old\n")
+    assert main(argv + ["-o", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: integer division result too large for a float\n")
+    assert out.read_bytes() == b"old\n"
+
+
 def test_compare_mapping_over_a_range_longer_than_maxsize(corpus_path, capsys):
     assert main(["compare", corpus_path, "--strategy", "mapping:1,3", "--strategy", "md5",
                  "--ids", LONG_IDS, "--format", "csv"]) == EXIT_OK

@@ -3,7 +3,7 @@
 Each example runs in-process through cli.main(argv), in a directory of its
 own that holds a small corpus, a file an -o may replace, and a
 subdirectory. Every value is drawn as often from values a verb accepts as
-from odd ones: 0, -1, 2**63 +- 1, 10**20, empty and malformed specs, and
+from odd ones: 0, -1, 2**63 +- 1, 10**20, 10**400, empty and malformed specs, and
 missing, directory and device paths. Every draw stays small: a large
 --count comes only with lengths whose capacity it overdraws, and mkdirs
 never gets a layout of more than a few thousand directories.
@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from shardbench import cli, workers
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO, cli.EXIT_EMPTY, cli.EXIT_LIMIT}
-BIG = [str(2**63 - 1), str(2**63 + 1), str(10**20)]
+BIG = [str(2**63 - 1), str(2**63 + 1), str(10**20), str(10**400)]
 EDGES = ["0", "-1", *BIG]
 ODD = [*EDGES, "", "x"]
 OLD = b"old\n"
@@ -54,8 +54,8 @@ OUTPUTS = _values(["-", "{missing}", "{existing}"], ["{nested}", "{dir}", os.dev
 NUMBERS = _values(["1", "3", "20"], ODD)
 MODULI = st.lists(NUMBERS, min_size=1, max_size=3).map(",".join)
 LEVELS = _values(["0", "1"], ODD[1:])
-# The long ranges hold more IDs than sys.maxsize.
-IDS = _values(["1..10", "1.." + BIG[1], "1.." + BIG[2]],
+# The long ranges hold more IDs than sys.maxsize, the last more than a float can.
+IDS = _values(["1..10", "1.." + BIG[1], "1.." + BIG[2], "1.." + BIG[3]],
               ["1..1", f"{BIG[2]}..{BIG[2]}", "5..1", "0..3", "", "1-10", "a..b"])
 FLAGS = st.tuples(_flag("--levels", LEVELS), _flag("--moduli", MODULI)).map(lambda t: t[0] + t[1])
 

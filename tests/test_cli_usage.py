@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shardbench import cli, scan
+from shardbench import cli, corpus, scan
 from shardbench.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 
 # Every reject class, Unicode whitespace padding, CRLF, a blank line and no
@@ -85,10 +85,10 @@ def test_locate_default_root_renders_a_leading_slash(strategy, stdout, capsys):
 
 
 def test_reject_report_is_pinned_past_one_write(tmp_path, monkeypatch, capsys):
-    # More rejects than one batched write holds, so the batches must join seamlessly.
+    # Blocks of 8 bytes spread the rejects over several writes, which must join seamlessly.
     path = tmp_path / "bad.txt"
     path.write_bytes(b"ok\n" + b"na me\n" * 5)
-    monkeypatch.setattr(scan, "_REJECTS_PER_WRITE", 2)
+    monkeypatch.setattr(corpus, "_BLOCK", 8)
     assert main(["analyze", str(path), "--strategy", "md5", "--no-counts"]) == EXIT_OK
     err = capsys.readouterr().err
     assert err.startswith("".join(f"line {n}: invalid character ' ' at position 2\n"
@@ -138,6 +138,19 @@ def test_mapping_without_ids_message_is_pinned(capsys):
     argv = ["analyze", "--strategy", "mapping", "--bucket-size", "10", "--servers", "4"]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr() == ("", "usage error: the mapping strategy requires --ids A..B\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--strategy", "mapping", "--ids", "1..5", "--servers", "3"],
+     "the mapping strategy requires --bucket-size and --servers"),
+    (["--strategy", "mapping", "--ids", "1..5", "--bucket-size", "2"],
+     "the mapping strategy requires --bucket-size and --servers"),
+    (["--strategy", "md5"], "the md5 strategy requires a corpus file"),
+    (["--strategy", "letter", "--levels", "2"], "the letter strategy requires a corpus file"),
+])
+def test_analyze_missing_input_message_is_pinned(argv, message, capsys):
+    assert main(["analyze", *argv]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, choices", [

@@ -80,10 +80,17 @@ def report_text(rejects) -> str:
 
 
 def scanned(path, pairs):
-    """scan._scan()'s histograms, report text and reject count for a corpus file."""
+    """scan._scan()'s histograms, report text and reject count for a corpus file.
+
+    The count is the one the report's last line, `N lines rejected`, gives;
+    a report with no rejects is empty.
+    """
     report = io.StringIO()
-    histograms, rejected = scan._scan(str(path), pairs, report)
-    return histograms, report.getvalue(), rejected
+    histograms = scan._scan(str(path), pairs, report)
+    *lines, count = report.getvalue().splitlines(True) or ["0 lines rejected\n"]
+    rejected = int(count.split()[0])
+    assert count == f"{rejected} lines rejected\n"
+    return histograms, "".join(lines), rejected
 
 
 @pytest.fixture(scope="module")
@@ -208,13 +215,12 @@ def test_kernel_matches_the_oracle_across_block_edges(corpus_file, block, data):
 def test_reader_at_block_edges(tmp_path, block, data, names, rejects):
     path = tmp_path / "names.txt"
     path.write_bytes(data)
-    seen = []
     with mock.patch.object(corpus, "_BLOCK", block):
-        blocks = list(read_names(path, lambda n, r: seen.append((n, r))))
+        blocks = list(read_names(path))
         _check_kernel(path, data, 1)
-    assert [name for names_in_block in blocks for name in names_in_block] == \
+    assert [name for names_in_block, _ in blocks for name in names_in_block] == \
         [name + b"\n" for name in names]
-    assert seen == rejects
+    assert [reject for _, rejects_in_block in blocks for reject in rejects_in_block] == rejects
 
 
 @pytest.mark.parametrize("threads", [1, 3])
