@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import os
 import re
@@ -51,9 +52,6 @@ EXIT_EMPTY = 4
 EXIT_LIMIT = 5
 
 _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
-# Characters of report text joined into one write. Under PYTHONUNBUFFERED
-# stdout is write-through, so each write is a system call of its own.
-_WRITE_CHARS = 8 << 10
 
 
 class UsageError(Exception):
@@ -181,7 +179,6 @@ def _written_beside(path: str, old: os.stat_result | None):
         raise
 
 
-@contextlib.contextmanager
 def _output(path: str | None):
     """Where a report or a corpus goes: stdout for None or "-", else `path`.
 
@@ -189,35 +186,40 @@ def _output(path: str | None):
     put in its place only once the block completes, so its old content
     survives a failed run. Anything else (a symlink, a device such as
     /dev/null, a FIFO, a directory) is opened as it stands, so output still
-    streams through it. Writes reach it joined, in _Joined batches.
+    streams through it.
     """
     if path is None or path == "-":
-        target = _stdout()
-    else:
-        try:
-            old = os.lstat(path)
-            replace = stat.S_ISREG(old.st_mode)
-        except FileNotFoundError:
-            old, replace = None, True
-        except OSError:  # open() reports it as it always has
-            replace = False
-        target = (_written_beside(path, old) if replace
-                  else open(path, "w", encoding="utf-8", newline=""))
-    with target as out:
-        joined = _Joined(out)
-        yield joined
-        joined.flush()
+        return _stdout()
+    try:
+        old = os.lstat(path)
+        replace = stat.S_ISREG(old.st_mode)
+    except FileNotFoundError:
+        old, replace = None, True
+    except OSError:  # open() reports it as it always has
+        replace = False
+    if replace:
+        return _written_beside(path, old)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 @contextlib.contextmanager
 def _stdout():
-    """sys.stdout, flushed once the block completes, so a failed write fails the run.
+    """sys.stdout, buffered while the block runs and flushed once it completes.
 
-    What a failed write leaves in stdout's buffer would fail again when the
-    interpreter flushes stdout on its way out, and make the exit code 120;
-    it goes to os.devnull instead.
+    Under PYTHONUNBUFFERED stdout is write-through, so each of json.dump's
+    tokens and csv.writer's rows would be a system call of its own; the
+    block runs with write-through off, and it is put back afterwards, even
+    when the block fails. A failed write fails the run. What it leaves in
+    stdout's buffer would fail again when the interpreter flushes stdout on
+    its way out, and make the exit code 120; it goes to os.devnull instead.
+    A closed stdout is an OSError, as a write to it would be.
     """
     out = sys.stdout
+    if out is None:  # the program was started with file descriptor 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    write_through = getattr(out, "write_through", False)  # an io.StringIO has none
+    if write_through:
+        out.reconfigure(write_through=False)
     try:
         yield out
         out.flush()
@@ -225,32 +227,9 @@ def _stdout():
         with contextlib.suppress(OSError, ValueError):  # no file descriptor behind `out`
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         raise
-
-
-class _Joined:
-    """A text stream's stand-in that passes writes on joined, about _WRITE_CHARS at a time.
-
-    json.dump writes each token, and csv.writer each row, on its own; this
-    turns a report of 4,096 counts into a few writes. flush() writes what is
-    held back.
-    """
-
-    def __init__(self, out) -> None:
-        self._out = out
-        self._held: list[str] = []
-        self._size = 0
-
-    def write(self, text: str) -> None:
-        self._held.append(text)
-        self._size += len(text)
-        if self._size >= _WRITE_CHARS:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._held:
-            self._out.write("".join(self._held))
-            self._held.clear()
-            self._size = 0
+    finally:
+        if write_through:
+            out.reconfigure(write_through=True)
 
 
 def _emit_analysis(
@@ -311,8 +290,9 @@ def _cmd_gen_corpus(args) -> int:
     workers = _worker_count(spec.count >= PARALLEL_MIN_NAMES)
     with _output(args.output) as out, contextlib.closing(_segments(spec, workers)) as segments:
         for names in segments:
-            out.write(b"\n".join(names).decode("ascii"))
-            out.write("\n")
+            # One write: a "\n" of its own would be held back, then written
+            # by a system call of its own ahead of the next segment.
+            out.write(b"\n".join(names).decode("ascii") + "\n")
     print(f"wrote {args.count} names (model={args.model}, seed={args.seed})", file=sys.stderr)
     return EXIT_OK
 

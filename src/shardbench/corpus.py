@@ -158,13 +158,8 @@ def read_names(
             at = marks.find(b"!", stop)
         line_number += len(lines)
         # Blank lines, and the dropped ones now made blank, are all that read b"\n".
-        index = 0
-        try:
-            while True:
-                index = lines.index(b"\n", index)
-                del lines[index]
-        except ValueError:  # none left
-            pass
+        if b"\n" in lines:
+            lines = [line for line in lines if line != b"\n"]
         yield lines, rejects
 
 
@@ -219,11 +214,7 @@ def load_corpus(
 
 
 def _cumulative(weights: dict[str, float]) -> list[float]:
-    totals, acc = [], 0.0
-    for c in ALPHABET:
-        acc += weights.get(c, 0.0)
-        totals.append(acc)
-    return totals
+    return list(itertools.accumulate(weights.get(c, 0.0) for c in ALPHABET))
 
 
 def distinct_capacity(spec: CorpusSpec) -> int:

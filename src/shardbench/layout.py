@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Sequence
 
@@ -73,16 +74,10 @@ def fanout_report(cfg, limit: int = DEFAULT_FANOUT_LIMIT) -> FanoutReport:
     child count: sitting exactly at the limit already fails.
     """
     moduli = _moduli_of(cfg)
-    dirs_under_one_top = 1
-    for m in moduli[1:]:
-        dirs_under_one_top *= m
-    total = 1
-    for m in moduli:
-        total *= m
     return FanoutReport(
         per_level_dirs=moduli,
-        dirs_under_one_top=dirs_under_one_top,
-        total_leaf_buckets=total,
+        dirs_under_one_top=math.prod(moduli[1:]),
+        total_leaf_buckets=math.prod(moduli),
         limit=limit,
         ok=all(m < limit for m in moduli),
     )

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import sys
 
 import pytest
 
@@ -478,3 +479,28 @@ def test_a_leftover_temp_file_does_not_block_output(tmp_path, capsys):
     capsys.readouterr()
     assert len(target.read_text(encoding="utf-8").splitlines()) == 50
     assert sorted(os.listdir(tmp_path)) == sorted([target.name, leftover.name])
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-corpus", "--model", "uniform", "--count", "50", "-o", "-"],
+    ["analyze", "{corpus}", "--strategy", "md5"],
+    ["compare", "{corpus}", "--strategy", "md5", "--strategy", "letter"],
+    ["locate", "frank", "--strategy", "md5"],
+    ["check-fanout", "--strategy", "md5"],
+])
+def test_a_closed_stdout_is_one_error_line(corpus_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", None)  # as when the program starts with `>&-`
+    assert main([arg.format(corpus=corpus_path) for arg in argv]) == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+
+
+def test_gen_corpus_to_a_closed_stdout_forks_nothing(monkeypatch, capsys):
+    def fork():
+        raise AssertionError("gen-corpus forked a worker with nowhere to write")
+
+    monkeypatch.setenv("SHARDBENCH_THREADS", "2")
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["gen-corpus", "--model", "uniform", "--count", "30000", "-o", "-"]) == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor: '<stdout>'\n"

@@ -1,6 +1,7 @@
 """Report bytes: each format as json.dump and csv.writer write it, in a few large writes."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -48,11 +49,9 @@ def _reference_analysis(out, fmt, strategy, echo, level, histogram, stats, inclu
 
 
 def _joined(emit, *args) -> str:
-    """What `emit` writes through the CLI's write-joining stand-in for a stream."""
+    """What `emit` writes to a stream."""
     stream = io.StringIO()
-    joined = cli._Joined(stream)
-    emit(joined, *args)
-    joined.flush()
+    emit(stream, *args)
     return stream.getvalue()
 
 
@@ -147,6 +146,26 @@ def test_a_4096_bucket_report_takes_a_few_writes(wide_corpus, monkeypatch, capsy
         raw.writes = 0
         json.dump(list(range(4096)), stream, indent=2)
         assert raw.writes > 4096
+
+
+class _FullRaw(_CountingRaw):
+    """A sink whose every write fails, as on a full device."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("raw, code", [(_CountingRaw, cli.EXIT_OK), (_FullRaw, cli.EXIT_IO)],
+                         ids=["written", "failed"])
+@pytest.mark.parametrize("verb", [["analyze", "{corpus}", "--strategy", "md5", "--level", "1"],
+                                  ["locate", "frank", "--strategy", "md5"]])
+def test_an_in_process_run_leaves_stdout_write_through(wide_corpus, monkeypatch, capsys, raw,
+                                                       code, verb):
+    stream = io.TextIOWrapper(raw(), encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert cli.main([arg.format(corpus=wide_corpus) for arg in verb]) == code
+    capsys.readouterr()
+    assert stream.write_through
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
