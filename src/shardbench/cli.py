@@ -14,7 +14,7 @@ import tempfile
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import MODELS, PARALLEL_MIN_NAMES, CorpusSpec, _segments
-from .errors import ShardbenchError
+from .errors import EmptyHistogram, ShardbenchError
 from .layout import (
     DEFAULT_FANOUT_LIMIT,
     FanoutReport,
@@ -209,10 +209,8 @@ def _stdout():
     Under PYTHONUNBUFFERED stdout is write-through, so each of json.dump's
     tokens and csv.writer's rows would be a system call of its own; the
     block runs with write-through off, and it is put back afterwards, even
-    when the block fails. A failed write fails the run. What it leaves in
-    stdout's buffer would fail again when the interpreter flushes stdout on
-    its way out, and make the exit code 120; it goes to os.devnull instead.
-    A closed stdout is an OSError, as a write to it would be.
+    when the block fails. A failed write fails the run. A closed stdout is
+    an OSError, as a write to it would be.
     """
     out = sys.stdout
     if out is None:  # the program was started with file descriptor 1 closed
@@ -223,10 +221,6 @@ def _stdout():
     try:
         yield out
         out.flush()
-    except OSError:
-        with contextlib.suppress(OSError, ValueError):  # no file descriptor behind `out`
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-        raise
     finally:
         if write_through:
             out.reconfigure(write_through=True)
@@ -319,14 +313,13 @@ def _cmd_analyze(args) -> int:
         if not 0 <= args.level < len(cfg.level_moduli):
             raise UsageError(f"level {args.level} outside 0..{len(cfg.level_moduli) - 1}")
         echo = {strategy.flag: cfg._values()[0]}  # a username config's one field
-        from . import scan  # here, not at module level: only the scanning verbs load the kernel
-
-        (histogram,) = scan._scan(args.corpus, [(cfg, args.level)], sys.stderr)
-    if histogram.total == 0:
-        print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
-        return EXIT_EMPTY
-    stats = compute_stats(histogram)
+        histogram = None
     with _output(args.output) as out:
+        if histogram is None:
+            from . import scan  # here, not at module level: only the scanning verbs load it
+
+            (histogram,) = scan._scan(args.corpus, [(cfg, args.level)], sys.stderr)
+        stats = compute_stats(histogram)  # an empty one raises EmptyHistogram
         _emit_analysis(out, args.format, args.strategy, echo, args.level, histogram, stats,
                        include_counts)
     print(_stats_line(stats, histogram.skipped), file=sys.stderr)
@@ -377,30 +370,30 @@ def _cmd_compare(args) -> int:
              if note is None and strategy.flag is not None]
     scanned = None
     rows = []
-    for level, strategy, config, note in steps:
-        if note is not None:
-            print(f"note: {note}", file=sys.stderr)
-            continue
-        if strategy.flag is None:
-            histogram = build_mapping_histogram(_parse_ids(args.ids), config)
-            label = f"{strategy.name}[{config.bucket_size},{config.num_servers}]"
-        else:
-            if scanned is None:  # one pass over the corpus serves every scanned step
-                from . import scan  # as in _cmd_analyze
-
-                scanned = iter(scan._scan(args.corpus, scans, sys.stderr))
-            histogram = next(scanned)
-            label = strategy.name
-        if histogram.total == 0:
-            print(f"note: skipping {label} at level {level} (nothing placed)", file=sys.stderr)
-            continue
-        stats = compute_stats(histogram)
-        rows.append((level, stats.deviation_ratio, label, histogram, stats))
-    if not rows:
-        print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
-        return EXIT_EMPTY
-    rows.sort(key=lambda row: (row[0], row[1]))
     with _output(args.output) as out:
+        for level, strategy, config, note in steps:
+            if note is not None:
+                print(f"note: {note}", file=sys.stderr)
+                continue
+            if strategy.flag is None:
+                histogram = build_mapping_histogram(_parse_ids(args.ids), config)
+                label = f"{strategy.name}[{config.bucket_size},{config.num_servers}]"
+            else:
+                if scanned is None:  # one pass over the corpus serves every scanned step
+                    from . import scan  # as in _cmd_analyze
+
+                    scanned = iter(scan._scan(args.corpus, scans, sys.stderr))
+                histogram = next(scanned)
+                label = strategy.name
+            if histogram.total == 0:
+                print(f"note: skipping {label} at level {level} (nothing placed)",
+                      file=sys.stderr)
+                continue
+            stats = compute_stats(histogram)
+            rows.append((level, stats.deviation_ratio, label, histogram, stats))
+        if not rows:
+            raise EmptyHistogram("no row has a placed entry")
+        rows.sort(key=lambda row: (row[0], row[1]))
         _emit_compare(out, args.format, rows)
     return EXIT_OK
 
@@ -571,7 +564,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if argv is None and sys.stdout is not None:
+            # A failed write leaves its bytes in stdout's buffer. The
+            # interpreter's flush on the way out would fail on them again and
+            # make the exit code 120, so they go to os.devnull instead.
+            with contextlib.suppress(OSError, ValueError):  # no file descriptor behind it
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
+    except EmptyHistogram:
+        print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
+        return EXIT_EMPTY
     except (ShardbenchError, OverflowError) as exc:  # the latter: a spread past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

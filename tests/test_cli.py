@@ -495,12 +495,40 @@ def test_a_closed_stdout_is_one_error_line(corpus_path, monkeypatch, capsys, arg
     assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor: '<stdout>'\n"
 
 
-def test_gen_corpus_to_a_closed_stdout_forks_nothing(monkeypatch, capsys):
+@pytest.mark.parametrize("target", ["closed stdout", "missing directory"])
+@pytest.mark.parametrize("argv", [
+    ["gen-corpus", "--model", "uniform", "--count", "30000", "-o", "{output}"],
+    ["analyze", "{corpus}", "--strategy", "md5", "-o", "{output}"],
+    ["compare", "{corpus}", "--strategy", "md5", "--strategy", "letter", "-o", "{output}"],
+], ids=["gen-corpus", "analyze", "compare"])
+def test_a_target_that_cannot_be_opened_fails_before_any_work(tmp_path, monkeypatch, capsys,
+                                                              argv, target):
     def fork():
-        raise AssertionError("gen-corpus forked a worker with nowhere to write")
+        raise AssertionError(f"{argv[0]} forked a worker with nowhere to write")
 
+    corpus = tmp_path / "dirty.txt"
+    corpus.write_bytes(b"frank\nna me\nalice\n\xff\nbob\n" * 100)  # 200 rejected lines
+    output = str(tmp_path / "no" / "such" / "dir" / "report.txt")
+    if target == "closed stdout":
+        monkeypatch.setattr(sys, "stdout", None)
+        output, error = "-", "[Errno 9] Bad file descriptor: '<stdout>'"
+    else:
+        error = f"[Errno 2] No such file or directory: {output!r}"
     monkeypatch.setenv("SHARDBENCH_THREADS", "2")
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(sys, "stdout", None)
-    assert main(["gen-corpus", "--model", "uniform", "--count", "30000", "-o", "-"]) == EXIT_IO
-    assert capsys.readouterr().err == "error: [Errno 9] Bad file descriptor: '<stdout>'\n"
+    assert main([arg.format(corpus=corpus, output=output) for arg in argv]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {error}\n"  # no reject line: nothing was read
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-corpus", "--model", "uniform", "--count", "50", "--min-len", "0"],
+    ["analyze", "--strategy", "mapping"],
+    ["analyze", "{corpus}", "--strategy", "md5", "--level", "9"],
+    ["compare", "{corpus}", "--strategy", "md5", "--strategy", "mapping:1,3"],
+])
+def test_a_usage_error_wins_over_a_target_that_cannot_be_opened(corpus_path, tmp_path, capsys,
+                                                                 argv):
+    output = str(tmp_path / "no" / "such" / "dir" / "report.txt")
+    assert main([arg.format(corpus=corpus_path) for arg in argv] + ["-o", output]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err

@@ -187,15 +187,32 @@ def test_a_report_to_a_full_device_fails_with_exit_3(tmp_path, unbuffered, modul
     assert run.stderr == "error: [Errno 28] No space left on device\n"
 
 
+def test_an_in_process_io_error_leaves_stdout_where_it_was(tmp_path, capfd):
+    missing = str(tmp_path / "missing.txt")
+    assert cli.main(["analyze", missing, "--strategy", "md5"]) == cli.EXIT_IO
+    print("printed", flush=True)
+    os.write(1, b"written\n")
+    assert capfd.readouterr() == ("printed\nwritten\n", f"error: [Errno 2] No such file or "
+                                                        f"directory: {missing!r}\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [True, False])
-@pytest.mark.parametrize("verb", [["locate", "frank"], ["check-fanout"]])
-def test_a_lookup_to_a_full_device_fails_with_exit_3(unbuffered, verb):
+@pytest.mark.parametrize("verb", [
+    ["locate", "frank", "--strategy", "md5"],
+    ["check-fanout", "--strategy", "md5"],
+    ["compare", "{corpus}", "--strategy", "letter", "--strategy", "md5"],
+    ["gen-corpus", "--model", "uniform", "--count", "50", "-o", "-"],  # within stdout's buffer
+    ["gen-corpus", "--model", "uniform", "--count", "30000", "-o", "-"],  # and past it
+], ids=["locate", "check-fanout", "compare", "gen-corpus-50", "gen-corpus-30000"])
+def test_a_write_to_a_full_device_fails_with_exit_3(tmp_path, unbuffered, verb):
+    corpus = tmp_path / "names.txt"
+    corpus.write_text("alice\nbob\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "shardbench.cli", *verb, "--strategy", "md5"]
+    argv = [sys.executable, "-m", "shardbench.cli", *(arg.format(corpus=corpus) for arg in verb)]
     with open("/dev/full", "w") as full:
         run = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True,
                              timeout=60)
