@@ -43,7 +43,7 @@ from .strategies import (
     letter_placement,
     md5_placement,
 )
-from .workers import _worker_count
+from .workers import _stderr, _worker_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,6 +56,10 @@ _IDS_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
 
 class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 2."""
+
+
+class LimitExceeded(Exception):
+    """A tree past the fan-out limit or the leaf cap, refused; maps to exit code 5."""
 
 
 # --- strategy table --------------------------------------------------------
@@ -287,7 +291,7 @@ def _cmd_gen_corpus(args) -> int:
             # One write: a "\n" of its own would be held back, then written
             # by a system call of its own ahead of the next segment.
             out.write(b"\n".join(names).decode("ascii") + "\n")
-    print(f"wrote {args.count} names (model={args.model}, seed={args.seed})", file=sys.stderr)
+    print(f"wrote {args.count} names (model={args.model}, seed={args.seed})", file=_stderr())
     return EXIT_OK
 
 
@@ -318,11 +322,11 @@ def _cmd_analyze(args) -> int:
         if histogram is None:
             from . import scan  # here, not at module level: only the scanning verbs load it
 
-            (histogram,) = scan._scan(args.corpus, [(cfg, args.level)], sys.stderr)
+            (histogram,) = scan._scan(args.corpus, [(cfg, args.level)], _stderr())
         stats = compute_stats(histogram)  # an empty one raises EmptyHistogram
         _emit_analysis(out, args.format, args.strategy, echo, args.level, histogram, stats,
                        include_counts)
-    print(_stats_line(stats, histogram.skipped), file=sys.stderr)
+    print(_stats_line(stats, histogram.skipped), file=_stderr())
     return EXIT_OK
 
 
@@ -373,7 +377,7 @@ def _cmd_compare(args) -> int:
     with _output(args.output) as out:
         for level, strategy, config, note in steps:
             if note is not None:
-                print(f"note: {note}", file=sys.stderr)
+                print(f"note: {note}", file=_stderr())
                 continue
             if strategy.flag is None:
                 histogram = build_mapping_histogram(_parse_ids(args.ids), config)
@@ -382,12 +386,12 @@ def _cmd_compare(args) -> int:
                 if scanned is None:  # one pass over the corpus serves every scanned step
                     from . import scan  # as in _cmd_analyze
 
-                    scanned = iter(scan._scan(args.corpus, scans, sys.stderr))
+                    scanned = iter(scan._scan(args.corpus, scans, _stderr()))
                 histogram = next(scanned)
                 label = strategy.name
             if histogram.total == 0:
                 print(f"note: skipping {label} at level {level} (nothing placed)",
-                      file=sys.stderr)
+                      file=_stderr())
                 continue
             stats = compute_stats(histogram)
             rows.append((level, stats.deviation_ratio, label, histogram, stats))
@@ -456,15 +460,12 @@ def _cmd_check_fanout(args) -> int:
 def _cmd_mkdirs(args) -> int:
     report = _fanout(args)
     if not report.ok:
-        print(f"error: fan-out check failed (limit {report.limit}); refusing to create",
-              file=sys.stderr)
-        return EXIT_LIMIT
+        raise LimitExceeded(f"fan-out check failed (limit {report.limit}); refusing to create")
     if report.total_leaf_buckets > DENSE_BUCKET_CAP:
-        print(f"error: {report.total_leaf_buckets} leaf directories exceed the cap of "
-              f"{DENSE_BUCKET_CAP}; refusing to create", file=sys.stderr)
-        return EXIT_LIMIT
+        raise LimitExceeded(f"{report.total_leaf_buckets} leaf directories exceed the cap of "
+                            f"{DENSE_BUCKET_CAP}; refusing to create")
     created = materialize_tree(args.root, report.per_level_dirs)
-    print(f"created {created} directories under {args.root}", file=sys.stderr)
+    print(f"created {created} directories under {args.root}", file=_stderr())
     return EXIT_OK
 
 
@@ -546,6 +547,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point `stream`'s file descriptor, if it has one, at os.devnull.
+
+    A failed write leaves its bytes in the stream's buffer. The
+    interpreter's flush on the way out would fail on them again and make
+    the exit code 120, so they go to os.devnull instead.
+    """
+    if stream is not None:
+        with contextlib.suppress(OSError, ValueError):  # no file descriptor behind it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:  # the program, not an in-process call
         # Moves every object made so far, most of them by the interpreter's
@@ -560,23 +573,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"usage error: {exc}"
+    except LimitExceeded as exc:
+        code, message = EXIT_LIMIT, f"error: {exc}"
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if argv is None and sys.stdout is not None:
-            # A failed write leaves its bytes in stdout's buffer. The
-            # interpreter's flush on the way out would fail on them again and
-            # make the exit code 120, so they go to os.devnull instead.
-            with contextlib.suppress(OSError, ValueError):  # no file descriptor behind it
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_IO
+        code, message = EXIT_IO, f"error: {exc}"
+        if argv is None:  # the program, not an in-process call
+            _to_devnull(sys.stdout)
     except EmptyHistogram:
-        print("error: no names were placed (empty or fully rejected corpus)", file=sys.stderr)
-        return EXIT_EMPTY
+        code, message = EXIT_EMPTY, "error: no names were placed (empty or fully rejected corpus)"
     except (ShardbenchError, OverflowError) as exc:  # the latter: a spread past the float range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc}"
+    try:  # one try, and never an exception: the code alone reports a failing stderr
+        print(message, file=_stderr())
+    except OSError:
+        if argv is None:  # as for stdout above
+            _to_devnull(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ from .errors import ShardbenchError, SpaceExhausted
 from .model import ALPHABET, MAX_USERNAME_LENGTH, Username, _Record, normalize_username
 from .workers import _forked, _receive, _send
 
-MODELS = ("uniform", "name_like")
-
 VOWELS = "aeiou"
 
 # Candidates in one segment of the random stream: what one worker draws in one go.
@@ -77,6 +75,15 @@ _AFTER_OTHER.update({
 })
 
 _TRANSITIONS = {"vowel": _AFTER_VOWEL, "other": _AFTER_OTHER, "consonant": _AFTER_CONSONANT}
+
+# Each model's first-character weights and its weights after a character of
+# each class. Under uniform every table gives each character weight 1.0.
+_UNIFORM = dict.fromkeys(ALPHABET, 1.0)
+_MODELS = {
+    "uniform": (_UNIFORM, dict.fromkeys(_TRANSITIONS, _UNIFORM)),
+    "name_like": (_FIRST_LETTER, _TRANSITIONS),
+}
+MODELS = tuple(_MODELS)
 
 
 def _char_class(c: str) -> str:
@@ -219,18 +226,18 @@ def _cumulative(weights: dict[str, float]) -> list[float]:
 
 def distinct_capacity(spec: CorpusSpec) -> int:
     """Exact count of distinct names the model can emit in the length range."""
-    if spec.model == "uniform":
-        return sum(37**length for length in range(spec.min_len, spec.max_len + 1))
-    # name_like: count strings reachable through positive-weight transitions.
-    # What may follow a character depends only on its class, so the strings
-    # are counted by the class of their last character.
+    # Count the strings reachable through positive-weight transitions. What
+    # may follow a character depends only on its class, so the strings are
+    # counted by the class of their last character.
+    first, transitions = _MODELS[spec.model]
+
     def by_class(weights: dict[str, float]) -> dict[str, int]:
         """How many characters of positive weight each class holds."""
         return {cls: sum(1 for c in ALPHABET if weights.get(c, 0.0) > 0 and _char_class(c) == cls)
                 for cls in _TRANSITIONS}
 
-    successors = {cls: by_class(table) for cls, table in _TRANSITIONS.items()}
-    ending = by_class(_FIRST_LETTER)
+    successors = {cls: by_class(table) for cls, table in transitions.items()}
+    ending = by_class(first)
     capacity = 0
     for length in range(1, spec.max_len + 1):
         if length >= spec.min_len:
@@ -339,13 +346,10 @@ def _drawer(spec: CorpusSpec) -> Callable[[Callable[[], float], int], list[bytes
     pieces are bytearrays, which no set can hold.
     """
     min_len, span = spec.min_len, spec.max_len - spec.min_len + 1
-    if spec.model == "uniform":
-        first = _thresholds(_cumulative(dict.fromkeys(ALPHABET, 1.0)))
-        after = [first] * len(ALPHABET)
-    else:
-        first = _thresholds(_cumulative(_FIRST_LETTER))
-        by_class = {cls: _thresholds(_cumulative(table)) for cls, table in _TRANSITIONS.items()}
-        after = [by_class[_char_class(c)] for c in ALPHABET]  # the table after each index
+    weights, transitions = _MODELS[spec.model]
+    first = _thresholds(_cumulative(weights))
+    by_class = {cls: _thresholds(_cumulative(table)) for cls, table in transitions.items()}
+    after = [by_class[_char_class(c)] for c in ALPHABET]  # the table after each index
     rest = [range(length - 1) for length in range(min_len, spec.max_len + 1)]  # after the first
     end = len(ALPHABET)
 

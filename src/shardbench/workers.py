@@ -3,11 +3,13 @@
 How many processes to split a job over, how to start and stop them, and
 the one frame format a child sends its parent. It loads neither `signal`
 nor `pickle`, unless a child fails: only os.fork, os.pipe and marshal.
+Also where every diagnostic of the program goes, its warnings included.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import marshal
 import os
 import sys
@@ -18,6 +20,25 @@ _WORKERS_PER_CPU = 4  # cap on an explicit SHARDBENCH_THREADS, per CPU
 _SIGKILL = 9  # signal.SIGKILL on every POSIX system, which os.fork needs
 
 
+class _ClosedStderr:
+    """Stands in for sys.stderr when it is None, as it is when the program was
+    started with file descriptor 2 closed: each write fails as a write to a
+    closed descriptor does, so a diagnostic never lands on stdout."""
+
+    @staticmethod
+    def write(text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stderr>")
+
+
+def _stderr():
+    """Where diagnostics go: sys.stderr, or a _ClosedStderr if it is None.
+
+    A run fails at its first diagnostic that cannot be written, whether
+    stderr is full, a broken pipe or closed, and not before.
+    """
+    return _ClosedStderr if sys.stderr is None else sys.stderr
+
+
 def _threads_setting() -> int:
     """The workers SHARDBENCH_THREADS asks for, capped per CPU; 0 unless a positive integer."""
     raw = os.environ.get("SHARDBENCH_THREADS")
@@ -26,12 +47,12 @@ def _threads_setting() -> int:
     try:
         value = int(raw)
     except ValueError:
-        print(f"warning: ignoring non-integer SHARDBENCH_THREADS={raw!r}", file=sys.stderr)
+        print(f"warning: ignoring non-integer SHARDBENCH_THREADS={raw!r}", file=_stderr())
         return 0
     cap = _WORKERS_PER_CPU * (os.cpu_count() or 1)
     if value > cap:
         print(f"warning: capping SHARDBENCH_THREADS={value} at {cap} "
-              f"({_WORKERS_PER_CPU} per CPU)", file=sys.stderr)
+              f"({_WORKERS_PER_CPU} per CPU)", file=_stderr())
         return cap
     return max(value, 0)
 

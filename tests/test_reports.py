@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from shardbench import cli
+from shardbench.corpus import CorpusSpec, generate_corpus
 from shardbench.stats import Histogram, compute_stats
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -218,3 +219,87 @@ def test_a_write_to_a_full_device_fails_with_exit_3(tmp_path, unbuffered, verb):
                              timeout=60)
     assert run.returncode == cli.EXIT_IO, run.stderr
     assert run.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def _closed_stderr():
+    """Starts the child with file descriptor 2 closed, as `2>&-` does."""
+    os.close(2)
+
+
+def _run_with_failing_stderr(tmp_path, verb, state, unbuffered):
+    """Runs the program in tmp_path with stderr on /dev/full or closed, stdout piped."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if unbuffered:  # stderr's binary layer is then a FileIO, else a BufferedWriter
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "shardbench.cli", *verb]
+    with open("/dev/full", "w") as full:
+        stderr = {"stderr": full} if state == "full" else {"preexec_fn": _closed_stderr}
+        return subprocess.run(argv, cwd=tmp_path, stdout=subprocess.PIPE, env=env, text=True,
+                              timeout=60, **stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("state", ["closed", "full"])
+@pytest.mark.parametrize("verb", [
+    ["analyze", "clean.txt", "--strategy", "md5", "--no-counts"],  # the stats line fails
+    ["analyze", "dirty.txt", "--strategy", "md5", "--no-counts"],  # a reject line fails
+    ["analyze", "dirty.txt", "--strategy", "md5", "-o", "old.json"],
+    ["analyze", "missing.txt", "--strategy", "md5"],  # main's own error line fails
+    ["compare", "dirty.txt", "--strategy", "letter", "--strategy", "md5"],
+    ["gen-corpus", "--model", "name-like", "--count", "500", "--seed", "3", "-o", "names.txt"],
+    ["mkdirs", "--root", "tree", "--strategy", "md5", "--moduli", "4,4"],
+], ids=["analyze-clean", "analyze-dirty", "analyze-dirty-o", "analyze-missing", "compare-dirty",
+        "gen-corpus-o", "mkdirs"])
+def test_a_failing_stderr_fails_with_exit_3(tmp_path, unbuffered, state, verb):
+    (tmp_path / "clean.txt").write_text("alice\nbob\n")
+    (tmp_path / "dirty.txt").write_text("alice\nna me\nbob\n")
+    (tmp_path / "old.json").write_text("old\n")
+    run = _run_with_failing_stderr(tmp_path, verb, state, unbuffered)
+    assert run.returncode == cli.EXIT_IO, run.stdout
+    assert "Traceback" not in run.stdout
+    assert "rejected" not in run.stdout and "error" not in run.stdout  # no diagnostic on stdout
+    # What a verb committed before its summary line stays; a failed report changes nothing.
+    assert (tmp_path / "old.json").read_text() == "old\n"
+    if verb[0] == "gen-corpus":
+        expected = list(generate_corpus(CorpusSpec("name_like", 500, 3)))
+        assert (tmp_path / "names.txt").read_text().splitlines() == expected
+    if verb[0] == "mkdirs":
+        assert len(list((tmp_path / "tree").rglob("*"))) == 4 + 16
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("state", ["closed", "full"])
+@pytest.mark.parametrize("verb, code", [
+    (["analyze", "clean.txt", "--strategy", "mapping"], cli.EXIT_USAGE),
+    (["analyze", "empty.txt", "--strategy", "md5"], cli.EXIT_EMPTY),
+    (["mkdirs", "--root", "tree", "--strategy", "md5", "--moduli", "9,9", "--limit", "8"],
+     cli.EXIT_LIMIT),
+], ids=["usage", "empty", "limit"])
+def test_a_failing_stderr_keeps_mains_own_codes(tmp_path, unbuffered, state, verb, code):
+    (tmp_path / "clean.txt").write_text("alice\nbob\n")
+    (tmp_path / "empty.txt").write_text("")
+    run = _run_with_failing_stderr(tmp_path, verb, state, unbuffered)
+    assert (run.returncode, run.stdout) == (code, "")
+    assert not (tmp_path / "tree").exists()
+
+
+def test_an_in_process_closed_stderr_keeps_diagnostics_off_stdout(tmp_path, monkeypatch, capsys):
+    (tmp_path / "clean.txt").write_text("alice\nbob\n")
+    (tmp_path / "dirty.txt").write_text("alice\nna me\nbob\n")
+    report = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "stderr", None)
+    analyze = ["analyze", "--strategy", "md5", "--no-counts", "-o", str(report)]
+    assert cli.main([*analyze, str(tmp_path / "dirty.txt")]) == cli.EXIT_IO  # a reject line
+    assert not report.exists()
+    assert cli.main([*analyze, str(tmp_path / "clean.txt")]) == cli.EXIT_IO  # the stats line
+    assert json.loads(report.read_text())["total"] == 2
+    assert cli.main([*analyze, str(tmp_path / "missing.txt")]) == cli.EXIT_IO
+    assert cli.main(["analyze", "--strategy", "mapping"]) == cli.EXIT_USAGE
+    tree = ["mkdirs", "--root", str(tmp_path / "tree"), "--strategy", "md5", "--moduli", "9,9"]
+    assert cli.main([*tree, "--limit", "8"]) == cli.EXIT_LIMIT  # the refusal keeps its code
+    monkeypatch.setenv("SHARDBENCH_THREADS", "x")  # a warning fails before the stats line
+    assert cli.main([*analyze, str(tmp_path / "clean.txt")]) == cli.EXIT_IO
+    assert capsys.readouterr().out == ""

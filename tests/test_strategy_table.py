@@ -1,9 +1,10 @@
-"""Design invariants: the package reads its strategies from one table, and
-one module picks the MD5.
+"""Design invariants: the package reads its strategies and its corpus models
+from one table each, and one module picks the MD5.
 
-No function in any module branches on a strategy's name; each takes what it
-needs from the table, or from the config and its index rule. No module but
-`cli.py`, which holds the table, keys a dict by strategy names.
+No function in any module branches on a strategy's or a model's name; each
+takes what it needs from the table, or from the config and its index rule.
+No module but `cli.py`, which holds the strategy table, keys a dict by
+strategy names.
 Only `strategies.py` imports an MD5 module; the rest take its `_md5`.
 """
 
@@ -15,18 +16,19 @@ from shardbench import cli
 PACKAGE = Path(cli.__file__).parent
 MD5_MODULES = {"hashlib", "_md5"}
 NAMES = {"letter", "ascii-sum", "mapping", "md5"}
+MODEL_NAMES = {"uniform", "name_like", "name-like"}
 
 
 def _names_in(node: ast.expr) -> bool:
     if isinstance(node, ast.Constant):
-        return node.value in NAMES
+        return node.value in NAMES | MODEL_NAMES
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return any(_names_in(element) for element in node.elts)
     return False
 
 
 def _name_switches(source: str) -> list[str]:
-    """`function:line` of each comparison against a strategy-name literal."""
+    """`function:line` of each comparison against a strategy- or model-name literal."""
     sites = []
     for function in ast.walk(ast.parse(source)):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -38,16 +40,22 @@ def _name_switches(source: str) -> list[str]:
     return sorted(set(sites))
 
 
-def test_no_function_switches_on_strategy_names():
+def test_no_function_switches_on_strategy_or_model_names():
     sites = {path.name: _name_switches(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert "scan.py" in sites
+    assert {"scan.py", "corpus.py"} <= sites.keys()
     assert {name: found for name, found in sites.items() if found} == {}
 
 
 def test_the_check_sees_a_switch():
     source = ("def f(name):\n    if name in ('md5', 'x'):\n        pass\n"
               "    return 'letter' != name\n")
+    assert _name_switches(source) == ["f:2", "f:4"]
+
+
+def test_the_check_sees_a_model_switch():
+    source = ("def f(spec):\n    if spec.model == \"uniform\":\n        pass\n"
+              "    return spec.model in ('name_like', 'name-like')\n")
     assert _name_switches(source) == ["f:2", "f:4"]
 
 
