@@ -471,6 +471,17 @@ def _cmd_mkdirs(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """The parser's and every subparser's class: help is a report, and main writes usage errors."""
+
+    def print_help(self, file=None) -> None:
+        with _stdout() as out:
+            out.write(self.format_help())
+
+    def error(self, message: str):
+        raise SystemExit(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -485,7 +496,7 @@ def _add_strategy_flags(parser: argparse.ArgumentParser, choices: Sequence[str])
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shardbench",
         description="Shard-placement strategies and distribution-quality benchmarks.",
     )
@@ -548,12 +559,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _to_devnull(stream) -> None:
-    """Point `stream`'s file descriptor, if it has one, at os.devnull.
-
-    A failed write leaves its bytes in the stream's buffer. The
-    interpreter's flush on the way out would fail on them again and make
-    the exit code 120, so they go to os.devnull instead.
-    """
+    """Point `stream`'s file descriptor, if it has one, at os.devnull, where the bytes a
+    failed write left in its buffer go at exit, not to a flush that fails again (exit 120)."""
     if stream is not None:
         with contextlib.suppress(OSError, ValueError):  # no file descriptor behind it
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
@@ -565,13 +572,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # own start-up, out of the collector's reach, so its full collection
         # at exit has little left to walk.
         gc.freeze()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # argparse's: 0 once --help is written, or a usage error's text
+        if not exc.code:
+            return EXIT_OK
+        code, message = EXIT_USAGE, exc.code
     except UsageError as exc:
         code, message = EXIT_USAGE, f"usage error: {exc}"
     except LimitExceeded as exc:

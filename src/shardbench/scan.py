@@ -5,6 +5,7 @@ Only the verbs that scan a corpus, analyze and compare, import this module.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import stat
@@ -122,8 +123,6 @@ def _plan_chunks(path: str, workers: int) -> list[tuple[int, int, int]]:
     blocks of corpus._BLOCK bytes, finds them and counts the lines before.
     """
     size = os.path.getsize(path)
-    if workers <= 1:
-        return [(0, size, 0)]
     cuts = [size * i // workers for i in range(1, workers)]
     starts = [(0, 0)]
     at = lines = 0  # the offset of the block in hand, and the lines before it
@@ -182,27 +181,24 @@ def _scan_specs(path: str, specs, report) -> tuple[list[list[list[int]]], int]:
     else:  # it cannot seek, and its size says nothing
         first, rest = (0, None, 0), []
     loops = [_build_loop(config, level) for config, level in specs]
-    reports: list = []  # one per worker; unlinked at creation, so none outlives the scan
-    try:
-        for _ in rest:
-            reports.append(tempfile.TemporaryFile("w+", encoding="utf-8",
-                                                  errors="surrogateescape", newline=""))
-        with _forked([partial(_send_chunk, path, *chunk, loops, chunk_report)
-                      for chunk, chunk_report in zip(rest, reports)]) as pipes:
-            tallies, rejected = _scan_chunk(path, *first, loops, report)
-            for pipe, (start, end, _), chunk_report in zip(pipes, rest, reports):
-                lost = f"the worker scanning bytes {start}..{end} of {path} exited without a result"
-                partials, partial_rejected = _receive(pipe, lost)
-                for spec, sparse in zip(tallies, partials):
-                    for tally, (indices, counts) in zip(spec, sparse):
-                        for i, count in zip(indices, counts):
-                            tally[i] += count
-                chunk_report.seek(0)
-                shutil.copyfileobj(chunk_report, report)
-                rejected += partial_rejected
-    finally:
-        for chunk_report in reports:
-            chunk_report.close()
+    # Unwinds last in, first out: every child is killed and reaped, then its
+    # report closed. Each report is unlinked at creation, so none outlives the scan.
+    with contextlib.ExitStack() as stack:
+        reports = [stack.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8", errors="surrogateescape", newline="")) for _ in rest]
+        pipes = stack.enter_context(_forked([partial(_send_chunk, path, *chunk, loops, chunk_report)
+                                             for chunk, chunk_report in zip(rest, reports)]))
+        tallies, rejected = _scan_chunk(path, *first, loops, report)
+        for pipe, (start, end, _), chunk_report in zip(pipes, rest, reports):
+            lost = f"the worker scanning bytes {start}..{end} of {path} exited without a result"
+            partials, partial_rejected = _receive(pipe, lost)
+            for spec, sparse in zip(tallies, partials):
+                for tally, (indices, counts) in zip(spec, sparse):
+                    for i, count in zip(indices, counts):
+                        tally[i] += count
+            chunk_report.seek(0)
+            shutil.copyfileobj(chunk_report, report)
+            rejected += partial_rejected
     return tallies, rejected
 
 

@@ -6,13 +6,17 @@ subdirectory. Every value is drawn as often from values a verb accepts as
 from odd ones: 0, -1, 2**63 +- 1, 10**20, 10**400, empty and malformed specs, and
 missing, directory and device paths. Every draw stays small: a large
 --count comes only with lengths whose capacity it overdraws, and mkdirs
-never gets a layout of more than a few thousand directories.
+never gets a layout of more than a few thousand directories. Stdout and
+stderr are each drawn as often working as failing: closed (None), full
+(ENOSPC) or a broken pipe (EPIPE).
 """
 
 import contextlib
+import errno
 import io
 import os
 import tempfile
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -136,6 +140,25 @@ MISSING = st.sampled_from([
 VERBS = {"gen-corpus": GEN_CORPUS, "analyze": ANALYZE, "compare": COMPARE, "locate": LOCATE,
          "check-fanout": CHECK_FANOUT, "mkdirs": MKDIRS, "none": MISSING}
 THREADS = st.sampled_from([None, "0", "1", "-1", "", "x"])  # none of them forks
+STREAMS = st.one_of(st.just("working"), st.sampled_from(["closed", errno.ENOSPC, errno.EPIPE]))
+
+
+class _Failing(io.TextIOBase):
+    """A text stream whose every write fails with `err`, as a full device or a broken pipe's."""
+
+    def __init__(self, err: int):
+        super().__init__()
+        self.err = err
+
+    def write(self, text: str) -> int:
+        raise OSError(self.err, os.strerror(self.err))
+
+
+def _stream(state):
+    """A stream in the drawn state: working, closed as sys.stdout is when fd 1 was, or failing."""
+    if state == "working":
+        return io.StringIO()
+    return None if state == "closed" else _Failing(state)
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +166,24 @@ def base(tmp_path_factory):
     return tmp_path_factory.mktemp("argv")
 
 
-def _run(base, argv: list[str], threads: str | None) -> int:
-    """Run argv in a directory of its own; check its exit code and what a failure left."""
+class _Run(NamedTuple):
+    """A run's exit code, what stdout and stderr got, and what the file an -o may replace holds.
+
+    A failing stream got None; in what a working one got, the run's directory reads {work}.
+    """
+
+    code: int
+    out: str | None
+    err: str | None
+    left: bytes
+
+
+def _run(base, argv: list[str], threads: str | None, stdout="working",
+         stderr="working") -> _Run:
+    """Run argv in a directory of its own, with the streams in the states given.
+
+    Checks that the exit code is a documented one and that no temp file is left.
+    """
     with tempfile.TemporaryDirectory(dir=base) as work:
         paths = {"corpus": os.path.join(work, "corpus.txt"),
                  "existing": os.path.join(work, "existing.txt"),
@@ -156,27 +195,53 @@ def _run(base, argv: list[str], threads: str | None) -> int:
         with open(paths["existing"], "wb") as existing:
             existing.write(OLD)
         os.mkdir(paths["dir"])
-        argv = [arg.format(**paths) for arg in argv]
+        streams = _stream(stdout), _stream(stderr)
         with mock.patch.dict(os.environ, {"SHARDBENCH_THREADS": threads or ""}), \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
+                contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
             if threads is None:
                 del os.environ["SHARDBENCH_THREADS"]
-            code = cli.main(argv)
-        assert code in EXIT_CODES, (code, err.getvalue())
-        if code != cli.EXIT_OK:
-            with open(paths["existing"], "rb") as existing:
-                assert existing.read() == OLD
+            code = cli.main([arg.format(**paths) for arg in argv])
+        assert code in EXIT_CODES, code
         assert not [name for name in os.listdir(work) if name.endswith(".tmp")]
-    return code
+        with open(paths["existing"], "rb") as existing:
+            return _Run(code, *(stream.getvalue().replace(work, "{work}")
+                                if isinstance(stream, io.StringIO) else None
+                                for stream in streams), existing.read())
+
+
+def _check(base, argv: list[str], threads: str | None, stdout="working",
+           stderr="working") -> int:
+    """Run argv with the streams given; hold it to a working run of the same argv.
+
+    A run that fails leaves the file an -o may replace as it was. With a
+    failing stream, a run exits 0 only if a working run writes nothing to
+    that stream, and a failing stderr puts no more on stdout than a working
+    run does. Returns the exit code.
+    """
+    run = _run(base, argv, threads, stdout, stderr)
+    if stdout == stderr == "working":
+        assert run.code == cli.EXIT_OK or run.left == OLD, argv
+        return run.code
+    working = _run(base, argv, threads)
+    if run.code == cli.EXIT_OK:
+        assert stdout == "working" or working.out == "", argv
+        assert stderr == "working" or working.err == "", argv
+    elif run.left != OLD:
+        # Only a summary line written to stderr after the commit fails a run
+        # that has replaced its -o file, and then the file holds all its output.
+        assert stderr != "working" and run.code == cli.EXIT_IO, argv
+        assert run.left == working.left, argv
+    if stdout == "working":
+        assert working.out.startswith(run.out), argv
+    return run.code
 
 
 @pytest.mark.parametrize("verb", VERBS)
 def test_every_command_line_exits_with_a_documented_code(base, verb):
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(argv=VERBS[verb], threads=THREADS)
-    def run(argv, threads):
-        _run(base, argv, threads)
+    @given(argv=VERBS[verb], threads=THREADS, stdout=STREAMS, stderr=STREAMS)
+    def run(argv, threads, stdout, stderr):
+        _check(base, argv, threads, stdout, stderr)
 
     run()
 
@@ -200,7 +265,7 @@ KNOWN = [
 @pytest.mark.parametrize("argv, code", KNOWN,
                          ids=["analyze-float", "analyze-maxsize", "compare-float", "compare-maxsize"])
 def test_each_known_repro_exits_with_its_code(base, argv, code, output):
-    assert _run(base, argv + output, None) == code
+    assert _check(base, argv + output, None) == code
 
 
 @given(st.one_of(st.sampled_from([*ODD, " 3 ", "1e3", "3.0"]), st.integers().map(str),

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -221,22 +222,22 @@ def test_a_write_to_a_full_device_fails_with_exit_3(tmp_path, unbuffered, verb):
     assert run.stderr == "error: [Errno 28] No space left on device\n"
 
 
-def _closed_stderr():
-    """Starts the child with file descriptor 2 closed, as `2>&-` does."""
-    os.close(2)
+def _run_with_failing(tmp_path, verb, state, unbuffered, stream="stderr"):
+    """Runs the program in tmp_path with `stream` on /dev/full or closed, the other one piped.
 
-
-def _run_with_failing_stderr(tmp_path, verb, state, unbuffered):
-    """Runs the program in tmp_path with stderr on /dev/full or closed, stdout piped."""
+    A closed stream is closed before the program starts, as `2>&-` or `>&-` closes it.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    if unbuffered:  # stderr's binary layer is then a FileIO, else a BufferedWriter
+    if unbuffered:  # the binary layer of stdout and stderr is then a FileIO, else a BufferedWriter
         env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "shardbench.cli", *verb]
+    piped = {"stdout": "stderr", "stderr": "stdout"}[stream]
     with open("/dev/full", "w") as full:
-        stderr = {"stderr": full} if state == "full" else {"preexec_fn": _closed_stderr}
-        return subprocess.run(argv, cwd=tmp_path, stdout=subprocess.PIPE, env=env, text=True,
-                              timeout=60, **stderr)
+        failing = ({stream: full} if state == "full" else
+                   {"preexec_fn": partial(os.close, {"stdout": 1, "stderr": 2}[stream])})
+        return subprocess.run(argv, cwd=tmp_path, env=env, text=True, timeout=60,
+                              **{piped: subprocess.PIPE}, **failing)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -256,7 +257,7 @@ def test_a_failing_stderr_fails_with_exit_3(tmp_path, unbuffered, state, verb):
     (tmp_path / "clean.txt").write_text("alice\nbob\n")
     (tmp_path / "dirty.txt").write_text("alice\nna me\nbob\n")
     (tmp_path / "old.json").write_text("old\n")
-    run = _run_with_failing_stderr(tmp_path, verb, state, unbuffered)
+    run = _run_with_failing(tmp_path, verb, state, unbuffered)
     assert run.returncode == cli.EXIT_IO, run.stdout
     assert "Traceback" not in run.stdout
     assert "rejected" not in run.stdout and "error" not in run.stdout  # no diagnostic on stdout
@@ -274,16 +275,42 @@ def test_a_failing_stderr_fails_with_exit_3(tmp_path, unbuffered, state, verb):
 @pytest.mark.parametrize("state", ["closed", "full"])
 @pytest.mark.parametrize("verb, code", [
     (["analyze", "clean.txt", "--strategy", "mapping"], cli.EXIT_USAGE),
+    (["analyze", "clean.txt", "--strategy", "nope"], cli.EXIT_USAGE),  # argparse's own error
+    (["compare"], cli.EXIT_USAGE),  # and a subparser's
     (["analyze", "empty.txt", "--strategy", "md5"], cli.EXIT_EMPTY),
     (["mkdirs", "--root", "tree", "--strategy", "md5", "--moduli", "9,9", "--limit", "8"],
      cli.EXIT_LIMIT),
-], ids=["usage", "empty", "limit"])
+], ids=["usage", "argparse", "argparse-compare", "empty", "limit"])
 def test_a_failing_stderr_keeps_mains_own_codes(tmp_path, unbuffered, state, verb, code):
     (tmp_path / "clean.txt").write_text("alice\nbob\n")
     (tmp_path / "empty.txt").write_text("")
-    run = _run_with_failing_stderr(tmp_path, verb, state, unbuffered)
+    run = _run_with_failing(tmp_path, verb, state, unbuffered)
     assert (run.returncode, run.stdout) == (code, "")
     assert not (tmp_path / "tree").exists()
+
+
+HELPS = [[], ["gen-corpus"], ["analyze"], ["compare"], ["locate"], ["check-fanout"], ["mkdirs"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("state, line", [
+    ("closed", "error: [Errno 9] Bad file descriptor: '<stdout>'\n"),
+    ("full", "error: [Errno 28] No space left on device\n"),
+], ids=["closed", "full"])
+@pytest.mark.parametrize("verb", HELPS, ids=lambda verb: verb[0] if verb else "shardbench")
+def test_help_to_a_failing_stdout_fails_with_exit_3(tmp_path, unbuffered, state, line, verb):
+    run = _run_with_failing(tmp_path, [*verb, "--help"], state, unbuffered, stream="stdout")
+    assert (run.returncode, run.stderr) == (cli.EXIT_IO, line)
+
+
+@pytest.mark.parametrize("verb", HELPS, ids=lambda verb: verb[0] if verb else "shardbench")
+def test_help_is_argparses_own_text(verb, capsys):
+    parser = cli._build_parser()
+    if verb:
+        parser = parser._subparsers._group_actions[0].choices[verb[0]]
+    assert cli.main([*verb, "--help"]) == cli.EXIT_OK
+    assert capsys.readouterr() == (parser.format_help(), "")
 
 
 def test_an_in_process_closed_stderr_keeps_diagnostics_off_stdout(tmp_path, monkeypatch, capsys):
@@ -298,6 +325,7 @@ def test_an_in_process_closed_stderr_keeps_diagnostics_off_stdout(tmp_path, monk
     assert json.loads(report.read_text())["total"] == 2
     assert cli.main([*analyze, str(tmp_path / "missing.txt")]) == cli.EXIT_IO
     assert cli.main(["analyze", "--strategy", "mapping"]) == cli.EXIT_USAGE
+    assert cli.main(["analyze", "--strategy", "nope"]) == cli.EXIT_USAGE  # argparse's usage text
     tree = ["mkdirs", "--root", str(tmp_path / "tree"), "--strategy", "md5", "--moduli", "9,9"]
     assert cli.main([*tree, "--limit", "8"]) == cli.EXIT_LIMIT  # the refusal keeps its code
     monkeypatch.setenv("SHARDBENCH_THREADS", "x")  # a warning fails before the stats line

@@ -518,6 +518,19 @@ def _temp_dir(tmp_path, monkeypatch):
     return temp
 
 
+def _open_files() -> list[str]:
+    """This process's open file descriptors."""
+    return sorted(os.listdir("/dev/fd"))
+
+
+def _assert_no_worker_left(files: list[str]) -> None:
+    """Every child reaped, and every worker's pipe and report file closed."""
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_files() == files
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypatch, capsys):
     path = _pooled_corpus(tmp_path)
     temp = _temp_dir(tmp_path, monkeypatch)
@@ -529,6 +542,7 @@ def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypa
         return scan_chunk(path, start, end, before, loops, report)
 
     argv = ["analyze", str(path), "--strategy", "md5", "--level", "1"]
+    files = _open_files()
     monkeypatch.setattr(scan, "_scan_chunk", failing)
     monkeypatch.setenv("SHARDBENCH_THREADS", "1")
     assert cli.main(argv) == cli.EXIT_IO
@@ -541,8 +555,10 @@ def test_a_failing_worker_fails_the_run_as_a_serial_scan_does(tmp_path, monkeypa
         assert cli.main(argv) == cli.EXIT_IO
         assert capsys.readouterr() == ("", serial.err)
         assert list(temp.iterdir()) == []
+        _assert_no_worker_left(files)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatch, capsys):
     path = _pooled_corpus(tmp_path)
     temp = _temp_dir(tmp_path, monkeypatch)
@@ -556,10 +572,12 @@ def test_a_worker_that_exits_without_a_result_fails_the_run(tmp_path, monkeypatc
     monkeypatch.setattr(scan, "_scan_chunk", vanishing)
     monkeypatch.setenv("SHARDBENCH_THREADS", "2")
     _, (start, size, _) = scan._plan_chunks(str(path), 2)
+    files = _open_files()
     assert cli.main(["analyze", str(path), "--strategy", "md5"]) == cli.EXIT_IO
     assert capsys.readouterr() == ("", f"error: the worker scanning bytes {start}..{size} of "
                                        f"{path} exited without a result\n")
     assert list(temp.iterdir()) == []
+    _assert_no_worker_left(files)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
