@@ -296,7 +296,6 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    include_counts = not args.no_counts
     if _STRATEGIES[args.strategy].flag is None:  # keyed by counter ID, not by username
         if args.ids is None:
             raise UsageError("the mapping strategy requires --ids A..B")
@@ -305,7 +304,6 @@ def _cmd_analyze(args) -> int:
         if args.bucket_size is None or args.servers is None:
             raise UsageError("the mapping strategy requires --bucket-size and --servers")
         cfg = MappingConfig(args.bucket_size, args.servers)
-        histogram = build_mapping_histogram(_parse_ids(args.ids), cfg)
         echo = {"bucket_size": cfg.bucket_size, "num_servers": cfg.num_servers, "ids": args.ids}
     else:
         if args.ids is not None or args.bucket_size is not None or args.servers is not None:
@@ -317,15 +315,12 @@ def _cmd_analyze(args) -> int:
         if not 0 <= args.level < len(cfg.level_moduli):
             raise UsageError(f"level {args.level} outside 0..{len(cfg.level_moduli) - 1}")
         echo = {strategy.flag: cfg._values()[0]}  # a username config's one field
-        histogram = None
+    steps = list(_steps([(_STRATEGIES[args.strategy], cfg)], [args.level], args.ids))
     with _output(args.output) as out:
-        if histogram is None:
-            from . import scan  # here, not at module level: only the scanning verbs load it
-
-            (histogram,) = scan._scan(args.corpus, [(cfg, args.level)], _stderr())
+        [(*_, histogram)] = _histograms(args.corpus, steps, args.ids)
         stats = compute_stats(histogram)  # an empty one raises EmptyHistogram
         _emit_analysis(out, args.format, args.strategy, echo, args.level, histogram, stats,
-                       include_counts)
+                       not args.no_counts)
     print(_stats_line(stats, histogram.skipped), file=_stderr())
     return EXIT_OK
 
@@ -338,11 +333,11 @@ def _parse_strategy_spec(spec: str) -> tuple[_Strategy, object]:
     return strategy, _config(strategy, text)
 
 
-def _compare_steps(specs, levels: list[int], ids: str | None):
-    """compare's (level, strategy, config, note) steps in report order; a note replaces a row.
+def _steps(specs, levels: list[int], ids: str | None):
+    """analyze's or compare's (level, strategy, config, note) steps; a note replaces a histogram.
 
-    A step whose row would fail raises here, so collecting the steps checks
-    every one of them before the corpus is read.
+    A step whose histogram would fail raises here, so collecting the steps
+    checks every one of them before the target opens or the corpus is read.
     """
     for level in levels:
         for strategy, config in specs:
@@ -364,31 +359,38 @@ def _compare_steps(specs, levels: list[int], ids: str | None):
             yield level, strategy, config, note
 
 
+def _histograms(corpus: str | None, steps: list, ids: str | None):
+    """Each step's (level, strategy, config, histogram) in order, or its note on stderr.
+
+    One pass over the corpus, made at the first scanned step, serves every scanned step.
+    """
+    scans = [(config, level) for level, strategy, config, note in steps
+             if note is None and strategy.flag is not None]
+    scanned = None
+    for level, strategy, config, note in steps:
+        if note is not None:
+            print(f"note: {note}", file=_stderr())
+        elif strategy.flag is None:
+            yield level, strategy, config, build_mapping_histogram(_parse_ids(ids), config)
+        else:
+            if scanned is None:
+                from . import scan  # here, not at module level: only the scanning verbs load it
+
+                scanned = iter(scan._scan(corpus, scans, _stderr()))
+            yield level, strategy, config, next(scanned)
+
+
 def _cmd_compare(args) -> int:
     if len(args.strategy) < 2:
         raise UsageError("compare needs at least two --strategy specs")
     levels = args.level or [0]
     specs = [_parse_strategy_spec(s) for s in args.strategy]
-    steps = list(_compare_steps(specs, levels, args.ids))
-    scans = [(config, level) for level, strategy, config, note in steps
-             if note is None and strategy.flag is not None]
-    scanned = None
+    steps = list(_steps(specs, levels, args.ids))
     rows = []
     with _output(args.output) as out:
-        for level, strategy, config, note in steps:
-            if note is not None:
-                print(f"note: {note}", file=_stderr())
-                continue
-            if strategy.flag is None:
-                histogram = build_mapping_histogram(_parse_ids(args.ids), config)
-                label = f"{strategy.name}[{config.bucket_size},{config.num_servers}]"
-            else:
-                if scanned is None:  # one pass over the corpus serves every scanned step
-                    from . import scan  # as in _cmd_analyze
-
-                    scanned = iter(scan._scan(args.corpus, scans, _stderr()))
-                histogram = next(scanned)
-                label = strategy.name
+        for level, strategy, config, histogram in _histograms(args.corpus, steps, args.ids):
+            label = strategy.name + ("" if strategy.flag else
+                                     f"[{config.bucket_size},{config.num_servers}]")
             if histogram.total == 0:
                 print(f"note: skipping {label} at level {level} (nothing placed)",
                       file=_stderr())

@@ -95,7 +95,7 @@ def _char_class(c: str) -> str:
 
 
 class CorpusSpec(_Record):
-    """What to generate: model, size, seed, and the length range."""
+    """What to generate: model, size, seed, and a length range with `count` distinct names."""
 
     __slots__ = ("model", "count", "seed", "min_len", "max_len")
 
@@ -111,6 +111,12 @@ class CorpusSpec(_Record):
                 f"got {min_len}..{max_len}"
             )
         self._fill(model, count, seed, min_len, max_len)
+        capacity = distinct_capacity(self)
+        if count > capacity:
+            raise SpaceExhausted(
+                f"{count} names requested but the {model} model can only "
+                f"produce {capacity} distinct names of length {min_len}..{max_len}"
+            )
 
 
 # In a block's marks each name byte ([0-9A-Za-z_]) reads as `a`, `\n` as
@@ -279,13 +285,6 @@ def _segments(spec: CorpusSpec, workers: int) -> Iterator[list[bytes]]:
     The names seen so far are held in a set of bytes, which costs 16 bytes
     less per short name than a set of str on CPython 3.11.
     """
-    capacity = distinct_capacity(spec)
-    if spec.count > capacity:
-        raise SpaceExhausted(
-            f"{spec.count} names requested but the {spec.model} model can only "
-            f"produce {capacity} distinct names of length "
-            f"{spec.min_len}..{spec.max_len}"
-        )
     if not hasattr(os, "fork"):
         workers = 1
     draw = _drawer(spec)

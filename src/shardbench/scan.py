@@ -52,10 +52,10 @@ def _build_loop(config, level: int) -> tuple[Callable[[list[bytes]], None], list
                 if table not in space:
                     space[table] = [rule.table(byte, m) * stride for byte in range(256)]
                 terms.append(f"{table}[{operand}]")
-            elif m > 1:  # a modulus of 1 puts every name in bucket 0
+            else:
                 terms.append(f"{operand} % {m}" + (f" * {stride}" if stride > 1 else ""))
             stride *= m
-        return " + ".join(reversed(terms)) or "0"
+        return " + ".join(reversed(terms))
 
     body = [rule.prelude.format(end=sum(NAME_END))] if rule.prelude else []
     if rule.truncates and level:

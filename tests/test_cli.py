@@ -532,3 +532,21 @@ def test_a_usage_error_wins_over_a_target_that_cannot_be_opened(corpus_path, tmp
     assert main([arg.format(corpus=corpus_path) for arg in argv] + ["-o", output]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("target", ["closed stdout", "missing directory"])
+@pytest.mark.parametrize("argv, error", [
+    (["analyze", "{corpus}", "--strategy", "letter", "--level", "5"],
+     "joint space 2565726409 exceeds dense cap 2097152"),  # level 5's space, as compare writes
+    (["gen-corpus", "--model", "uniform", "--count", "40", "--min-len", "1", "--max-len", "1"],
+     "40 names requested but the uniform model can only produce 37 distinct names of "
+     "length 1..1"),
+], ids=["analyze", "gen-corpus"])
+def test_a_refusal_wins_over_a_target_that_cannot_be_opened(corpus_path, tmp_path, monkeypatch,
+                                                            capsys, argv, error, target):
+    output = str(tmp_path / "no" / "such" / "dir" / "report.txt")
+    if target == "closed stdout":
+        monkeypatch.setattr(sys, "stdout", None)
+        output = "-"
+    assert main([arg.format(corpus=corpus_path) for arg in argv] + ["-o", output]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {error}\n"

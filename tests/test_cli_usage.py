@@ -278,3 +278,35 @@ def test_compare_checks_every_step_before_it_reads_the_corpus(
     monkeypatch.setattr(scan, "_scan", refuse)
     assert main(["compare", dirty_path, "--strategy", "md5", *flags]) == EXIT_USAGE
     assert capsys.readouterr() == ("", message)
+
+
+# A pooled scan would warn of the bad SHARDBENCH_THREADS before the error.
+@pytest.mark.parametrize("flags, space", [
+    (["--strategy", "letter", "--level", "5"], 2565726409),
+    (["--strategy", "ascii-sum", "--moduli", "1500,1500", "--level", "1"], 2250000),
+    (["--strategy", "md5", "--moduli", "256,256,256", "--level", "2"], 16777216),
+])
+def test_analyze_checks_its_step_before_it_reads_the_corpus(dirty_path, monkeypatch, capsys,
+                                                            flags, space):
+    def refuse(*args):
+        raise AssertionError("analyze read the corpus before refusing")
+
+    monkeypatch.setattr(scan, "_scan", refuse)
+    monkeypatch.setenv("SHARDBENCH_THREADS", "x")
+    assert main(["analyze", dirty_path, *flags]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: joint space {space} exceeds dense cap 2097152\n")
+
+
+def test_gen_corpus_checks_its_capacity_before_it_draws(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("gen-corpus drew names before refusing")
+
+    monkeypatch.setattr(cli, "_segments", refuse)  # the name gen-corpus calls it by
+    monkeypatch.setattr(corpus, "_segments", refuse)
+    output = tmp_path / "names.txt"
+    argv = ["gen-corpus", "--model", "name-like", "--count", "1113", "--min-len", "1",
+            "--max-len", "2", "-o", str(output)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: 1113 names requested but the name_like model can "
+                                       "only produce 1112 distinct names of length 1..2\n")
+    assert not output.exists()

@@ -125,8 +125,8 @@ def test_uniform_exhausts_single_char_space_exactly():
 
 @pytest.mark.parametrize("model", ["uniform", "name_like"])
 def test_overdrawn_space_is_refused(model):
-    with pytest.raises(SpaceExhausted):
-        list(generate_corpus(CorpusSpec(model, 38, 0, min_len=1, max_len=1)))
+    with pytest.raises(SpaceExhausted):  # when the spec is built, before any name is drawn
+        CorpusSpec(model, 38, 0, min_len=1, max_len=1)
 
 
 def test_spec_validation():

@@ -174,17 +174,10 @@ def test_an_in_process_run_leaves_stdout_write_through(wide_corpus, monkeypatch,
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize("moduli", ["64", "64,64"])  # a report within stdout's buffer, and past it
 def test_a_report_to_a_full_device_fails_with_exit_3(tmp_path, unbuffered, moduli):
-    corpus = tmp_path / "names.txt"
-    corpus.write_text("alice\nbob\n")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "shardbench.cli", "analyze", str(corpus), "--strategy", "md5",
-            "--moduli", moduli, "--level", str(moduli.count(","))]
-    with open("/dev/full", "w") as full:
-        run = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True,
-                             timeout=60)
+    (tmp_path / "names.txt").write_text("alice\nbob\n")
+    verb = ["analyze", "names.txt", "--strategy", "md5", "--moduli", moduli,
+            "--level", str(moduli.count(","))]
+    run = _run_with_failing(tmp_path, verb, "full", unbuffered, stream="stdout")
     assert run.returncode == cli.EXIT_IO, run.stderr
     assert run.stderr == "error: [Errno 28] No space left on device\n"
 
@@ -208,16 +201,9 @@ def test_an_in_process_io_error_leaves_stdout_where_it_was(tmp_path, capfd):
     ["gen-corpus", "--model", "uniform", "--count", "30000", "-o", "-"],  # and past it
 ], ids=["locate", "check-fanout", "compare", "gen-corpus-50", "gen-corpus-30000"])
 def test_a_write_to_a_full_device_fails_with_exit_3(tmp_path, unbuffered, verb):
-    corpus = tmp_path / "names.txt"
-    corpus.write_text("alice\nbob\n")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "shardbench.cli", *(arg.format(corpus=corpus) for arg in verb)]
-    with open("/dev/full", "w") as full:
-        run = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True,
-                             timeout=60)
+    (tmp_path / "names.txt").write_text("alice\nbob\n")
+    run = _run_with_failing(tmp_path, [arg.format(corpus="names.txt") for arg in verb], "full",
+                            unbuffered, stream="stdout")
     assert run.returncode == cli.EXIT_IO, run.stderr
     assert run.stderr == "error: [Errno 28] No space left on device\n"
 
