@@ -14,7 +14,7 @@ import tempfile
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import MODELS, PARALLEL_MIN_NAMES, CorpusSpec, _segments
-from .errors import EmptyHistogram, ShardbenchError
+from .errors import EmptyHistogram, LevelOutOfRange, ShardbenchError
 from .layout import (
     DEFAULT_FANOUT_LIMIT,
     FanoutReport,
@@ -285,8 +285,10 @@ def _cmd_gen_corpus(args) -> int:
         spec = CorpusSpec(model, args.count, args.seed, args.min_len, args.max_len)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    workers = _worker_count(spec.count >= PARALLEL_MIN_NAMES)
-    with _output(args.output) as out, contextlib.closing(_segments(spec, workers)) as segments:
+    # The pool is sized once the target opens: a bad SHARDBENCH_THREADS warns
+    # only in a run that gets to write.
+    with _output(args.output) as out, contextlib.closing(
+            _segments(spec, _worker_count(spec.count >= PARALLEL_MIN_NAMES))) as segments:
         for names in segments:
             # One write: a "\n" of its own would be held back, then written
             # by a system call of its own ahead of the next segment.
@@ -299,8 +301,6 @@ def _cmd_analyze(args) -> int:
     if _STRATEGIES[args.strategy].flag is None:  # keyed by counter ID, not by username
         if args.ids is None:
             raise UsageError("the mapping strategy requires --ids A..B")
-        if args.level != 0:
-            raise UsageError("the mapping strategy only has level 0 (server loads)")
         if args.bucket_size is None or args.servers is None:
             raise UsageError("the mapping strategy requires --bucket-size and --servers")
         cfg = MappingConfig(args.bucket_size, args.servers)
@@ -312,12 +312,11 @@ def _cmd_analyze(args) -> int:
             raise UsageError(f"the {args.strategy} strategy requires a corpus file")
         strategy, text = _flag_text(args)
         cfg = _config(strategy, text)
-        if not 0 <= args.level < len(cfg.level_moduli):
-            raise UsageError(f"level {args.level} outside 0..{len(cfg.level_moduli) - 1}")
         echo = {strategy.flag: cfg._values()[0]}  # a username config's one field
     steps = list(_steps([(_STRATEGIES[args.strategy], cfg)], [args.level], args.ids))
+    joint_bucket_count(cfg.level_moduli, args.level)  # a step past the depth: refused, not noted
     with _output(args.output) as out:
-        [(*_, histogram)] = _histograms(args.corpus, steps, args.ids)
+        [(*_, histogram)] = _histograms(args.corpus, steps)
         stats = compute_stats(histogram)  # an empty one raises EmptyHistogram
         _emit_analysis(out, args.format, args.strategy, echo, args.level, histogram, stats,
                        not args.no_counts)
@@ -334,50 +333,44 @@ def _parse_strategy_spec(spec: str) -> tuple[_Strategy, object]:
 
 
 def _steps(specs, levels: list[int], ids: str | None):
-    """analyze's or compare's (level, strategy, config, note) steps; a note replaces a histogram.
+    """analyze's or compare's (level, strategy, config, note, loads) steps.
 
-    A step whose histogram would fail raises here, so collecting the steps
-    checks every one of them before the target opens or the corpus is read.
+    Past its depth a step has a note; a mapping step has its loads, which
+    need only the flags; any other step is scanned. A step whose histogram
+    would fail raises here, before the target opens or the corpus is read.
     """
     for level in levels:
         for strategy, config in specs:
-            note = None
-            if strategy.flag is None:
-                if ids is None:
-                    raise UsageError("mapping strategies in compare require --ids A..B")
-                if level != 0:
-                    note = f"skipping mapping at level {level} (only level 0 exists)"
-                else:
-                    _parse_ids(ids)
-                    joint_bucket_count((config.num_servers,), 0)  # one dense slot per server
+            keyed = strategy.flag is None  # mapping: keyed by counter ID, not by username
+            if keyed and ids is None:
+                raise UsageError("mapping strategies in compare require --ids A..B")
+            depth = len(config.level_moduli)
+            if level >= depth:
+                note = f"skipping {strategy.name} at level {level} (depth {depth})"
+                yield level, strategy, config, note, None
             else:
-                moduli = config.level_moduli
-                if level >= len(moduli):
-                    note = f"skipping {strategy.name} at level {level} (depth {len(moduli)})"
-                else:
-                    joint_bucket_count(moduli, level)
-            yield level, strategy, config, note
+                id_range = _parse_ids(ids) if keyed else None
+                joint_bucket_count(config.level_moduli, level)
+                loads = build_mapping_histogram(id_range, config) if keyed else None
+                yield level, strategy, config, None, loads
 
 
-def _histograms(corpus: str | None, steps: list, ids: str | None):
+def _histograms(corpus: str | None, steps: list):
     """Each step's (level, strategy, config, histogram) in order, or its note on stderr.
 
     One pass over the corpus, made at the first scanned step, serves every scanned step.
     """
-    scans = [(config, level) for level, strategy, config, note in steps
-             if note is None and strategy.flag is not None]
+    scans = [(cfg, level) for level, _, cfg, note, loads in steps if note is None and loads is None]
     scanned = None
-    for level, strategy, config, note in steps:
+    for level, strategy, config, note, histogram in steps:
         if note is not None:
             print(f"note: {note}", file=_stderr())
-        elif strategy.flag is None:
-            yield level, strategy, config, build_mapping_histogram(_parse_ids(ids), config)
-        else:
-            if scanned is None:
-                from . import scan  # here, not at module level: only the scanning verbs load it
+            continue
+        if histogram is None and scanned is None:
+            from . import scan  # here, not at module level: only the scanning verbs load it
 
-                scanned = iter(scan._scan(corpus, scans, _stderr()))
-            yield level, strategy, config, next(scanned)
+            scanned = iter(scan._scan(corpus, scans, _stderr()))
+        yield level, strategy, config, next(scanned) if histogram is None else histogram
 
 
 def _cmd_compare(args) -> int:
@@ -386,9 +379,11 @@ def _cmd_compare(args) -> int:
     levels = args.level or [0]
     specs = [_parse_strategy_spec(s) for s in args.strategy]
     steps = list(_steps(specs, levels, args.ids))
+    if all(note for _, _, _, note, _ in steps):
+        raise UsageError("no spec reaches any level asked")
     rows = []
     with _output(args.output) as out:
-        for level, strategy, config, histogram in _histograms(args.corpus, steps, args.ids):
+        for level, strategy, config, histogram in _histograms(args.corpus, steps):
             label = strategy.name + ("" if strategy.flag else
                                      f"[{config.bucket_size},{config.num_servers}]")
             if histogram.total == 0:
@@ -581,7 +576,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not exc.code:
             return EXIT_OK
         code, message = EXIT_USAGE, exc.code
-    except UsageError as exc:
+    except (UsageError, LevelOutOfRange) as exc:
         code, message = EXIT_USAGE, f"usage error: {exc}"
     except LimitExceeded as exc:
         code, message = EXIT_LIMIT, f"error: {exc}"

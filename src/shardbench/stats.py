@@ -100,7 +100,7 @@ def build_mapping_histogram(ids: range, cfg: MappingConfig) -> Histogram:
         got = ids if isinstance(ids, range) else type(ids).__name__
         raise TypeError(f"ids must be a range with step 1, got {got}")
     size, servers = cfg.bucket_size, cfg.num_servers
-    counts = [0] * joint_bucket_count((servers,), 0)
+    counts = [0] * joint_bucket_count(cfg.level_moduli, 0)
     if not ids:
         return Histogram(counts, 0)
     first, last = ids[0], ids[-1]

@@ -76,6 +76,10 @@ class MappingConfig(_Record):
             raise ValueError(f"num_servers must be >= 1, got {num_servers}")
         self._fill(bucket_size, num_servers)
 
+    @property
+    def level_moduli(self) -> tuple[int, ...]:
+        return (self.num_servers,)  # one level: the server loads
+
 
 class Md5Config(_Record):
     """Multi-level MD5: level k consumes the hex pair at positions (2k, 2k+1)."""

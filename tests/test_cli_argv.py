@@ -246,9 +246,10 @@ def test_every_command_line_exits_with_a_documented_code(base, verb):
     run()
 
 
-# Repros the drawn lines found, or found too rarely to count on: each ended in
-# an OverflowError traceback. Their ranges hold more IDs than a float can,
-# and more than sys.maxsize.
+# Repros the drawn lines found, or found too rarely to count on. The first four
+# each ended in an OverflowError traceback: their ranges hold more IDs than a
+# float can, and more than sys.maxsize. The last two exited 4, "no names were
+# placed", for a level no spec has, though neither reads the corpus.
 KNOWN = [
     (["analyze", "--strategy", "mapping", "--ids", "1.." + BIG[3], "--bucket-size", "1",
       "--servers", "3"], cli.EXIT_USAGE),
@@ -258,12 +259,17 @@ KNOWN = [
       "--ids", "1.." + BIG[3]], cli.EXIT_USAGE),
     (["compare", "{corpus}", "--strategy", "md5", "--strategy", "mapping:1,3",
       "--ids", "1.." + BIG[1]], cli.EXIT_OK),
+    (["compare", "{corpus}", "--strategy", "mapping:10,2", "--strategy", "mapping:20,2",
+      "--level", "-1", "--ids", "1..5"], cli.EXIT_USAGE),
+    (["compare", "{corpus}", "--strategy", "letter:1", "--strategy", "ascii-sum:31",
+      "--level", "1"], cli.EXIT_USAGE),
 ]
 
 
 @pytest.mark.parametrize("output", [[], ["-o", "{existing}"]], ids=["stdout", "file"])
-@pytest.mark.parametrize("argv, code", KNOWN,
-                         ids=["analyze-float", "analyze-maxsize", "compare-float", "compare-maxsize"])
+@pytest.mark.parametrize("argv, code", KNOWN, ids=[
+    "analyze-float", "analyze-maxsize", "compare-float", "compare-maxsize",
+    "compare-negative-level", "compare-past-every-depth"])
 def test_each_known_repro_exits_with_its_code(base, argv, code, output):
     assert _check(base, argv + output, None) == code
 

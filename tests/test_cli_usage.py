@@ -310,3 +310,101 @@ def test_gen_corpus_checks_its_capacity_before_it_draws(tmp_path, monkeypatch, c
     assert capsys.readouterr() == ("", "error: 1113 names requested but the name_like model can "
                                        "only produce 1112 distinct names of length 1..2\n")
     assert not output.exists()
+
+
+# --- one level rule: every config states its levels, and one check refuses them ---
+
+CLEAN = b"frank\nalice\nbob\ncarol\n"
+# Each strategy as analyze's flags, as compare's spec and flags, and its depth.
+# md5:2,2,2,2 reaches every depth here, so compare always has a scanned step.
+STRATEGY_LEVELS = [
+    (["{corpus}", "--strategy", "letter", "--levels", "2"], ["letter:2"], 2),
+    (["{corpus}", "--strategy", "ascii-sum", "--moduli", "31,33"], ["ascii-sum:31,33"], 2),
+    (["--strategy", "mapping", "--ids", "1..5", "--bucket-size", "10", "--servers", "2"],
+     ["mapping:10,2", "--ids", "1..5"], 1),
+    (["{corpus}", "--strategy", "md5", "--moduli", "64,64,128"], ["md5:64,64,128"], 3),
+]
+
+
+@pytest.mark.parametrize("analyze, spec, depth", STRATEGY_LEVELS,
+                         ids=["letter", "ascii-sum", "mapping", "md5"])
+def test_both_verbs_share_one_level_rule(tmp_path, capsys, analyze, spec, depth):
+    corpus_path = tmp_path / "clean.txt"
+    corpus_path.write_bytes(CLEAN)
+    analyze = [arg.format(corpus=corpus_path) for arg in analyze]
+    compare = ["compare", str(corpus_path), "--strategy", spec[0], "--strategy", "md5:2,2,2,2",
+               *spec[1:]]
+    below = ("", f"usage error: level -1 outside 0..{depth - 1}\n")
+    assert main(["analyze", *analyze, "--level", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr() == below
+    assert main([*compare, "--level", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr() == below
+    assert main(["analyze", *analyze, "--level", str(depth)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: level {depth} outside 0..{depth - 1}\n")
+    assert main([*compare, "--level", str(depth)]) == EXIT_OK
+    name = spec[0].partition(":")[0]
+    assert capsys.readouterr().err == f"note: skipping {name} at level {depth} (depth {depth})\n"
+
+
+MAPPING = ["--strategy", "mapping", "--ids", "1..5000"]
+SIZED = ["--bucket-size", "100", "--servers", "7"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([*MAPPING, *SIZED, "--level", "1"], "level 1 outside 0..0"),
+    ([*MAPPING, *SIZED, "--level", "-1"], "level -1 outside 0..0"),
+    ([*MAPPING, "--level", "1"], "the mapping strategy requires --bucket-size and --servers"),
+])
+def test_analyze_mapping_level_message_is_pinned(capsys, flags, message):
+    assert main(["analyze", *flags]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_compare_notes_mapping_past_its_depth_before_the_scan_reports(dirty_path, capsys):
+    argv = ["compare", dirty_path, "--strategy", "mapping:10,2", "--strategy", "md5",
+            "--level", "1", "--ids", "1..5"]
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "note: skipping mapping at level 1 (depth 1)\n" + COMPARE_STDERR.split("\n", 1)[1]
+    assert out == (
+        "strategy  level  bucket_count  ideal_mean  std_dev    deviation_ratio  skipped\n"
+        "md5       1      4096          0.0012207   0.0349172  28.6042          0\n"
+    )
+
+
+NO_SPEC = "no spec reaches any level asked"
+
+
+# Each refusal comes before the target opens: an -o under a missing
+# directory would be exit 3, and a scan would report the corpus's rejects.
+@pytest.mark.parametrize("output", [[], ["-o", "{missing}"]], ids=["stdout", "missing-dir"])
+@pytest.mark.parametrize("flags, message", [
+    (["--strategy", "md5", "--strategy", "letter", "--level", "-1"], "level -1 outside 0..2"),
+    (["--strategy", "mapping:10,2", "--strategy", "mapping:20,2", "--level", "-1",
+      "--ids", "1..5"], "level -1 outside 0..0"),
+    (["--strategy", "mapping:10,2", "--strategy", "mapping:20,2", "--level", "3",
+      "--ids", "1..5"], NO_SPEC),
+    (["--strategy", "letter:1", "--strategy", "ascii-sum:31", "--level", "1"], NO_SPEC),
+    (["--strategy", "letter:1", "--strategy", "ascii-sum:31", "--level", "1", "--level", "2"],
+     NO_SPEC),
+])
+def test_compare_level_refusal_is_one_usage_error(dirty_path, tmp_path, monkeypatch, capsys,
+                                                  flags, message, output):
+    def refuse(*args):
+        raise AssertionError("compare scanned or built loads before refusing")
+
+    monkeypatch.setattr(cli, "build_mapping_histogram", refuse)
+    monkeypatch.setattr(scan, "_scan", refuse)
+    missing = str(tmp_path / "missing" / "dir" / "r.txt")
+    argv = ["compare", dirty_path, *flags, *(arg.format(missing=missing) for arg in output)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_gen_corpus_sizes_its_pool_after_its_target_opens(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SHARDBENCH_THREADS", "x")  # sizing the pool would warn of it
+    output = tmp_path / "missing" / "dir" / "x.txt"
+    argv = ["gen-corpus", "--model", "uniform", "--count", "40", "-o", str(output)]
+    assert main(argv) == cli.EXIT_IO
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: "
+                                       f"'{output}'\n")

@@ -127,6 +127,10 @@ def test_counter_placement_bucket_boundary_member():
     assert counter_placement(1_049_999, MappingConfig(10_000, 20)) == (104, 4)
 
 
+def test_mapping_has_one_level_of_server_loads():
+    assert MappingConfig(10, 7).level_moduli == (7,)
+
+
 def test_counter_placement_rejects_zero():
     with pytest.raises(ValueError):
         counter_placement(0, MappingConfig(10, 2))
