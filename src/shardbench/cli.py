@@ -129,12 +129,12 @@ def _config(strategy: _Strategy, text):
 
 
 def _flag_text(args) -> tuple[_Strategy, object]:
-    """--strategy's record and its flag's text; the other flag is an error."""
+    """--strategy's record and its flag's text (None for mapping); any other flag is an error."""
     strategy = _STRATEGIES[args.strategy]
     for flag in ("levels", "moduli"):
         if flag != strategy.flag and getattr(args, flag) not in (None, ""):
             raise UsageError(f"--{flag} does not apply to the {strategy.name} strategy")
-    return strategy, getattr(args, strategy.flag)
+    return strategy, vars(args).get(strategy.flag)
 
 
 def _parse_ids(text: str) -> range:
@@ -298,7 +298,8 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if _STRATEGIES[args.strategy].flag is None:  # keyed by counter ID, not by username
+    strategy, text = _flag_text(args)
+    if strategy.flag is None:  # keyed by counter ID, not by username
         if args.ids is None:
             raise UsageError("the mapping strategy requires --ids A..B")
         if args.bucket_size is None or args.servers is None:
@@ -309,16 +310,15 @@ def _cmd_analyze(args) -> int:
         if args.ids is not None or args.bucket_size is not None or args.servers is not None:
             raise UsageError("--ids/--bucket-size/--servers only apply to the mapping strategy")
         if args.corpus is None:
-            raise UsageError(f"the {args.strategy} strategy requires a corpus file")
-        strategy, text = _flag_text(args)
+            raise UsageError(f"the {strategy.name} strategy requires a corpus file")
         cfg = _config(strategy, text)
         echo = {strategy.flag: cfg._values()[0]}  # a username config's one field
-    steps = list(_steps([(_STRATEGIES[args.strategy], cfg)], [args.level], args.ids))
+    steps = list(_steps([(strategy, cfg)], [args.level], args.ids))
     joint_bucket_count(cfg.level_moduli, args.level)  # a step past the depth: refused, not noted
     with _output(args.output) as out:
         [(*_, histogram)] = _histograms(args.corpus, steps)
         stats = compute_stats(histogram)  # an empty one raises EmptyHistogram
-        _emit_analysis(out, args.format, args.strategy, echo, args.level, histogram, stats,
+        _emit_analysis(out, args.format, strategy.name, echo, args.level, histogram, stats,
                        not args.no_counts)
     print(_stats_line(stats, histogram.skipped), file=_stderr())
     return EXIT_OK
@@ -335,21 +335,21 @@ def _parse_strategy_spec(spec: str) -> tuple[_Strategy, object]:
 def _steps(specs, levels: list[int], ids: str | None):
     """analyze's or compare's (level, strategy, config, note, loads) steps.
 
-    Past its depth a step has a note; a mapping step has its loads, which
-    need only the flags; any other step is scanned. A step whose histogram
-    would fail raises here, before the target opens or the corpus is read.
+    Past its depth a step has a note; a mapping step has its loads, which need
+    only the flags; any other step is scanned. A malformed --ids, read or not,
+    and a step whose histogram would fail raise here, before the target opens.
     """
+    id_range = None if ids is None else _parse_ids(ids)
     for level in levels:
         for strategy, config in specs:
             keyed = strategy.flag is None  # mapping: keyed by counter ID, not by username
-            if keyed and ids is None:
+            if keyed and id_range is None:
                 raise UsageError("mapping strategies in compare require --ids A..B")
             depth = len(config.level_moduli)
             if level >= depth:
                 note = f"skipping {strategy.name} at level {level} (depth {depth})"
                 yield level, strategy, config, note, None
             else:
-                id_range = _parse_ids(ids) if keyed else None
                 joint_bucket_count(config.level_moduli, level)
                 loads = build_mapping_histogram(id_range, config) if keyed else None
                 yield level, strategy, config, None, loads

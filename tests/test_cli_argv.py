@@ -248,8 +248,10 @@ def test_every_command_line_exits_with_a_documented_code(base, verb):
 
 # Repros the drawn lines found, or found too rarely to count on. The first four
 # each ended in an OverflowError traceback: their ranges hold more IDs than a
-# float can, and more than sys.maxsize. The last two exited 4, "no names were
-# placed", for a level no spec has, though neither reads the corpus.
+# float can, and more than sys.maxsize. The next two exited 4, "no names were
+# placed", for a level no spec has, though neither reads the corpus. The last
+# two exited 0 with a flag no step reads: a malformed --ids, and --moduli on
+# mapping.
 KNOWN = [
     (["analyze", "--strategy", "mapping", "--ids", "1.." + BIG[3], "--bucket-size", "1",
       "--servers", "3"], cli.EXIT_USAGE),
@@ -263,13 +265,18 @@ KNOWN = [
       "--level", "-1", "--ids", "1..5"], cli.EXIT_USAGE),
     (["compare", "{corpus}", "--strategy", "letter:1", "--strategy", "ascii-sum:31",
       "--level", "1"], cli.EXIT_USAGE),
+    (["compare", "{corpus}", "--strategy", "md5", "--strategy", "letter", "--ids", "garbage"],
+     cli.EXIT_USAGE),
+    (["analyze", "--strategy", "mapping", "--moduli", "5", "--ids", "1..5", "--bucket-size", "1",
+      "--servers", "2"], cli.EXIT_USAGE),
 ]
 
 
 @pytest.mark.parametrize("output", [[], ["-o", "{existing}"]], ids=["stdout", "file"])
 @pytest.mark.parametrize("argv, code", KNOWN, ids=[
     "analyze-float", "analyze-maxsize", "compare-float", "compare-maxsize",
-    "compare-negative-level", "compare-past-every-depth"])
+    "compare-negative-level", "compare-past-every-depth", "compare-unread-ids",
+    "analyze-mapping-moduli"])
 def test_each_known_repro_exits_with_its_code(base, argv, code, output):
     assert _check(base, argv + output, None) == code
 

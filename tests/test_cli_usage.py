@@ -95,13 +95,14 @@ def test_reject_report_is_pinned_past_one_write(tmp_path, monkeypatch, capsys):
                                   for n in range(2, 7)) + "5 lines rejected\nideal_mean=")
 
 
-# Every verb that takes --levels/--moduli, each strategy with the flag it does not take.
+# Every verb that takes --levels/--moduli, each strategy with the flag it does not
+# take; mapping, which only analyze takes, with each of them.
 WRONG_FLAG = [
     (verb, strategy, flag)
     for verb in ("analyze", "locate", "check-fanout", "mkdirs")
     for strategy, flag in (("letter", "--moduli"), ("md5", "--levels"), ("ascii-sum", "--levels"))
     if verb == "analyze" or strategy != "ascii-sum"
-]
+] + [("analyze", "mapping", "--levels"), ("analyze", "mapping", "--moduli")]
 VERB_HEAD = {
     "analyze": ["analyze", "{corpus}"],
     "locate": ["locate", "frank"],
@@ -173,8 +174,7 @@ def test_strategy_choice_order_is_pinned(argv, choices, capsys):
     (["--strategy", "ascii-sum", "--moduli="], {"moduli": [31, 33]}),
     (["--strategy", "md5", "--moduli", "32,16"], {"moduli": [32, 16]}),
     (["--strategy", "md5", "--moduli="], {"moduli": [64, 64, 128]}),
-    (["--strategy", "mapping", "--bucket-size", "10", "--servers", "4", "--ids", "1..100",
-      "--levels", "9", "--moduli", "x"],
+    (["--strategy", "mapping", "--bucket-size", "10", "--servers", "4", "--ids", "1..100"],
      {"bucket_size": 10, "num_servers": 4, "ids": "1..100"}),
 ])
 def test_analyze_config_echo_is_pinned(dirty_path, flags, config, capsys):
@@ -399,6 +399,38 @@ def test_compare_level_refusal_is_one_usage_error(dirty_path, tmp_path, monkeypa
     argv = ["compare", dirty_path, *flags, *(arg.format(missing=missing) for arg in output)]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+# A malformed --ids is refused whether or not a step reads it, before the
+# target opens: in compare with no mapping step, or with one only past its
+# depth, and in analyze's mapping at every level, the one past its depth too.
+MALFORMED_IDS = {
+    "compare-unread": [["compare", "{corpus}", "--strategy", "md5", "--strategy", "letter",
+                        "--ids", "garbage"]],
+    "compare-past-depth": [["compare", "{corpus}", "--strategy", "md5", "--strategy", "letter",
+                            "--strategy", "mapping:10,2", "--level", "1", "--ids", "garbage"]],
+    "analyze-every-level": [["analyze", "--strategy", "mapping", "--ids", "a..b",
+                             "--bucket-size", "1", "--servers", "3", "--level", level]
+                            for level in ("-1", "0", "1")],
+}
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "{missing}"]], ids=["stdout", "missing-dir"])
+@pytest.mark.parametrize("runs", MALFORMED_IDS.values(), ids=MALFORMED_IDS)
+def test_a_malformed_ids_is_refused_whatever_reads_it(dirty_path, tmp_path, monkeypatch, capsys,
+                                                      runs, output):
+    def refuse(*args):
+        raise AssertionError("a step scanned or built loads before --ids was refused")
+
+    monkeypatch.setattr(cli, "build_mapping_histogram", refuse)
+    monkeypatch.setattr(scan, "_scan", refuse)
+    missing = str(tmp_path / "missing" / "dir" / "r.txt")
+    for argv in runs:
+        ids = argv[argv.index("--ids") + 1]
+        assert main([arg.format(corpus=dirty_path, missing=missing)
+                     for arg in [*argv, *output]]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: --ids expects the form A..B, "
+                                           f"got {ids!r}\n")
 
 
 def test_gen_corpus_sizes_its_pool_after_its_target_opens(tmp_path, monkeypatch, capsys):
