@@ -64,27 +64,27 @@ class LimitExceeded(Exception):
 
 # --- strategy table --------------------------------------------------------
 
-def _parse_moduli(text: str) -> tuple[int, ...]:
+def _parse_moduli(text: str, source: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"--moduli expects comma-separated integers, got {text!r}") from None
+        raise UsageError(f"{source} expects comma-separated integers, got {text!r}") from None
 
 
-def _parse_depth(text) -> int:
+def _parse_depth(text, source: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"letter spec expects an integer depth, got {text!r}") from None
+        raise UsageError(f"{source} expects an integer depth, got {text!r}") from None
 
 
-def _parse_mapping(text: str) -> tuple[int, ...]:
-    if not text:
+def _mapping_config(parts=None) -> MappingConfig:
+    """Mapping's config from bucket_size,num_servers; unlike the others it has no defaults."""
+    if parts is None:
         raise UsageError("mapping spec needs bucket_size,num_servers (e.g. mapping:50000,20)")
-    parts = _parse_moduli(text)
     if len(parts) != 2:
         raise UsageError("mapping spec needs exactly bucket_size,num_servers")
-    return parts
+    return MappingConfig(*parts)
 
 
 class _Strategy(NamedTuple):
@@ -92,9 +92,12 @@ class _Strategy(NamedTuple):
 
     `config` makes the strategy's config from what `parse` makes of spec or
     flag text, and with no argument gives the config class's defaults.
-    `flag` is the --levels/--moduli flag that carries the text; it is None
-    for mapping, which is keyed by counter ID, not by username, and has no
-    defaults. `place` and `path` give a name's placement and storage path,
+    `flag` is the --levels/--moduli flag that carries analyze's text; it is
+    None for mapping. `echo` holds the keys of analyze's JSON config, one
+    per config value, then "ids" for --ids. A `keyed` strategy places counter
+    IDs, not usernames: it needs --ids and its loads come from them, never
+    from a scan. `label` names a compare row, formatted with the strategy and
+    its config. `place` and `path` give a name's placement and storage path,
     for the strategies with a directory layout.
     """
 
@@ -102,28 +105,36 @@ class _Strategy(NamedTuple):
     config: Callable
     flag: str | None
     parse: Callable
+    echo: tuple[str, ...]
+    keyed: bool = False
+    label: str = "{0.name}"
     place: Callable | None = None
     path: Callable | None = None
 
 
 _STRATEGIES = {strategy.name: strategy for strategy in (
-    _Strategy("letter", LetterConfig, "levels", _parse_depth,
-              letter_placement, lambda u, cfg, root: letter_path(u, root, cfg.levels)),
-    _Strategy("ascii-sum", AsciiSumConfig, "moduli", _parse_moduli),
-    _Strategy("mapping", lambda parts: MappingConfig(*parts), None, _parse_mapping),
-    _Strategy("md5", Md5Config, "moduli", _parse_moduli, md5_placement, md5_path),
+    _Strategy("letter", LetterConfig, "levels", _parse_depth, ("levels",),
+              place=letter_placement,
+              path=lambda u, cfg, root: letter_path(u, root, cfg.levels)),
+    _Strategy("ascii-sum", AsciiSumConfig, "moduli", _parse_moduli, ("moduli",)),
+    _Strategy("mapping", _mapping_config, None, _parse_moduli,
+              ("bucket_size", "num_servers", "ids"), keyed=True,
+              label="{0.name}[{1.bucket_size},{1.num_servers}]"),
+    _Strategy("md5", Md5Config, "moduli", _parse_moduli, ("moduli",),
+              place=md5_placement, path=md5_path),
 )}
 
 
-def _config(strategy: _Strategy, text):
+def _config(strategy: _Strategy, text, source: str | None = None):
     """The config spec or flag text gives; no text (but a depth of 0 is text) gives the defaults.
 
-    Text that does not parse, and values the config refuses, are usage errors.
+    Text that does not parse is refused naming its `source`, a compare spec
+    or, by default, the flag; values the config refuses are usage errors.
     """
     try:
-        if text in (None, "") and strategy.flag is not None:
+        if text in (None, ""):
             return strategy.config()
-        return strategy.config(strategy.parse(text))
+        return strategy.config(strategy.parse(text, source or f"--{strategy.flag}"))
     except ValueError as exc:
         raise UsageError(f"bad {strategy.name} config: {exc}") from None
 
@@ -230,23 +241,16 @@ def _stdout():
             out.reconfigure(write_through=True)
 
 
-def _emit_analysis(
-    out,
-    fmt: str,
-    strategy: str,
-    config_echo: dict,
-    level: int,
-    histogram: Histogram,
-    stats: DistributionStats,
-    include_counts: bool,
-) -> None:
-    if fmt == "json":
+def _emit_analysis(out, args, strategy: str, echo: dict, row: _Row) -> None:
+    """analyze's report of its one row, in --format, with counts unless --no-counts."""
+    histogram, stats = row.histogram, row.stats
+    if args.format == "json":
         import json  # here, not at module level, so only runs that write JSON load it
 
         report = {
             "strategy": strategy,
-            "config": config_echo,
-            "level": level,
+            "config": echo,
+            "level": row.level,
             "bucket_count": histogram.bucket_count,
             "total": histogram.total,
             "skipped": histogram.skipped,
@@ -254,11 +258,11 @@ def _emit_analysis(
             "std_dev": stats.std_dev,
             "deviation_ratio": stats.deviation_ratio,
         }
-        if include_counts:
+        if not args.no_counts:
             report["counts"] = histogram.counts
         json.dump(report, out, indent=2)
         out.write("\n")
-    elif fmt == "csv":
+    elif args.format == "csv":
         import csv  # likewise for CSV
 
         writer = csv.writer(out, lineterminator="\n")
@@ -297,115 +301,105 @@ def _cmd_gen_corpus(args) -> int:
     return EXIT_OK
 
 
+# One histogram a run writes, with its stats.
+_Row = NamedTuple("_Row", [("level", int), ("label", str), ("histogram", Histogram),
+                           ("stats", DistributionStats)])
+
+
+def _run(specs, levels: list[int], args, skip: bool, emit) -> list[_Row]:
+    """The rows of each (strategy, config) spec at each level, written by `emit` to -o.
+
+    The one run of analyze and compare. Every step is checked before the
+    target opens: a malformed --ids, read or not, and a step whose histogram
+    would fail are refused. With `skip` (compare), a step past its depth or
+    with nothing placed is noted on stderr and gives no row, and a run left
+    with no row is refused; without it (analyze), either is an error. A keyed
+    step's loads need only --ids; every other step is scanned, all of them by
+    one pass over the corpus, made at the first scanned step.
+    """
+    id_range = None if args.ids is None else _parse_ids(args.ids)
+    steps = []  # (level, strategy, config, note, loads)
+    for level in levels:
+        for strategy, config in specs:
+            if strategy.keyed and id_range is None:
+                raise UsageError(f"the {strategy.name} strategy requires --ids A..B")
+            depth = len(config.level_moduli)
+            if skip and level >= depth:
+                note = f"skipping {strategy.name} at level {level} (depth {depth})"
+                steps.append((level, strategy, config, note, None))
+            else:
+                joint_bucket_count(config.level_moduli, level)
+                loads = build_mapping_histogram(id_range, config) if strategy.keyed else None
+                steps.append((level, strategy, config, None, loads))
+    if all(note for _, _, _, note, _ in steps):
+        raise UsageError("no spec reaches any level asked")
+    scans = [(cfg, level) for level, _, cfg, note, loads in steps if note is None and loads is None]
+    scanned = None
+    rows = []
+    with _output(args.output) as out:
+        for level, strategy, config, note, histogram in steps:
+            if note is not None:
+                print(f"note: {note}", file=_stderr())
+                continue
+            if histogram is None:
+                if scanned is None:
+                    from . import scan  # here, not at module level: only the scanning verbs load it
+
+                    scanned = iter(scan._scan(args.corpus, scans, _stderr()))
+                histogram = next(scanned)
+            label = strategy.label.format(strategy, config)
+            if skip and histogram.total == 0:
+                print(f"note: skipping {label} at level {level} (nothing placed)", file=_stderr())
+                continue
+            rows.append(_Row(level, label, histogram, compute_stats(histogram)))
+        if not rows:
+            raise EmptyHistogram("no row has a placed entry")
+        emit(out, rows)
+    return rows
+
+
 def _cmd_analyze(args) -> int:
     strategy, text = _flag_text(args)
-    if strategy.flag is None:  # keyed by counter ID, not by username
-        if args.ids is None:
-            raise UsageError("the mapping strategy requires --ids A..B")
+    if strategy.keyed:  # its config comes from --bucket-size and --servers
         if args.bucket_size is None or args.servers is None:
-            raise UsageError("the mapping strategy requires --bucket-size and --servers")
-        cfg = MappingConfig(args.bucket_size, args.servers)
-        echo = {"bucket_size": cfg.bucket_size, "num_servers": cfg.num_servers, "ids": args.ids}
+            raise UsageError(f"the {strategy.name} strategy requires --bucket-size and --servers")
+        config = strategy.config((args.bucket_size, args.servers))
     else:
         if args.ids is not None or args.bucket_size is not None or args.servers is not None:
             raise UsageError("--ids/--bucket-size/--servers only apply to the mapping strategy")
         if args.corpus is None:
             raise UsageError(f"the {strategy.name} strategy requires a corpus file")
-        cfg = _config(strategy, text)
-        echo = {strategy.flag: cfg._values()[0]}  # a username config's one field
-    steps = list(_steps([(strategy, cfg)], [args.level], args.ids))
-    joint_bucket_count(cfg.level_moduli, args.level)  # a step past the depth: refused, not noted
-    with _output(args.output) as out:
-        [(*_, histogram)] = _histograms(args.corpus, steps)
-        stats = compute_stats(histogram)  # an empty one raises EmptyHistogram
-        _emit_analysis(out, args.format, strategy.name, echo, args.level, histogram, stats,
-                       not args.no_counts)
-    print(_stats_line(stats, histogram.skipped), file=_stderr())
+        config = _config(strategy, text)
+    echo = dict(zip(strategy.echo, (*config._values(), args.ids)))
+    [row] = _run([(strategy, config)], [args.level], args, False,
+                 lambda out, rows: _emit_analysis(out, args, strategy.name, echo, *rows))
+    print(_stats_line(row.stats, row.histogram.skipped), file=_stderr())
     return EXIT_OK
-
-
-def _parse_strategy_spec(spec: str) -> tuple[_Strategy, object]:
-    name, _, text = spec.partition(":")
-    strategy = _STRATEGIES.get(name)
-    if strategy is None:
-        raise UsageError(f"unknown strategy {name!r} in spec {spec!r}")
-    return strategy, _config(strategy, text)
-
-
-def _steps(specs, levels: list[int], ids: str | None):
-    """analyze's or compare's (level, strategy, config, note, loads) steps.
-
-    Past its depth a step has a note; a mapping step has its loads, which need
-    only the flags; any other step is scanned. A malformed --ids, read or not,
-    and a step whose histogram would fail raise here, before the target opens.
-    """
-    id_range = None if ids is None else _parse_ids(ids)
-    for level in levels:
-        for strategy, config in specs:
-            keyed = strategy.flag is None  # mapping: keyed by counter ID, not by username
-            if keyed and id_range is None:
-                raise UsageError("mapping strategies in compare require --ids A..B")
-            depth = len(config.level_moduli)
-            if level >= depth:
-                note = f"skipping {strategy.name} at level {level} (depth {depth})"
-                yield level, strategy, config, note, None
-            else:
-                joint_bucket_count(config.level_moduli, level)
-                loads = build_mapping_histogram(id_range, config) if keyed else None
-                yield level, strategy, config, None, loads
-
-
-def _histograms(corpus: str | None, steps: list):
-    """Each step's (level, strategy, config, histogram) in order, or its note on stderr.
-
-    One pass over the corpus, made at the first scanned step, serves every scanned step.
-    """
-    scans = [(cfg, level) for level, _, cfg, note, loads in steps if note is None and loads is None]
-    scanned = None
-    for level, strategy, config, note, histogram in steps:
-        if note is not None:
-            print(f"note: {note}", file=_stderr())
-            continue
-        if histogram is None and scanned is None:
-            from . import scan  # here, not at module level: only the scanning verbs load it
-
-            scanned = iter(scan._scan(corpus, scans, _stderr()))
-        yield level, strategy, config, next(scanned) if histogram is None else histogram
 
 
 def _cmd_compare(args) -> int:
     if len(args.strategy) < 2:
         raise UsageError("compare needs at least two --strategy specs")
-    levels = args.level or [0]
-    specs = [_parse_strategy_spec(s) for s in args.strategy]
-    steps = list(_steps(specs, levels, args.ids))
-    if all(note for _, _, _, note, _ in steps):
-        raise UsageError("no spec reaches any level asked")
-    rows = []
-    with _output(args.output) as out:
-        for level, strategy, config, histogram in _histograms(args.corpus, steps):
-            label = strategy.name + ("" if strategy.flag else
-                                     f"[{config.bucket_size},{config.num_servers}]")
-            if histogram.total == 0:
-                print(f"note: skipping {label} at level {level} (nothing placed)",
-                      file=_stderr())
-                continue
-            stats = compute_stats(histogram)
-            rows.append((level, stats.deviation_ratio, label, histogram, stats))
-        if not rows:
-            raise EmptyHistogram("no row has a placed entry")
-        rows.sort(key=lambda row: (row[0], row[1]))
-        _emit_compare(out, args.format, rows)
+    specs = []
+    for spec in args.strategy:
+        name, _, text = spec.partition(":")
+        strategy = _STRATEGIES.get(name)
+        if strategy is None:
+            raise UsageError(f"unknown strategy {name!r} in spec {spec!r}")
+        specs.append((strategy, _config(strategy, text, f"{name} spec")))
+    _run(specs, args.level or [0], args, True,
+         lambda out, rows: _emit_compare(out, args.format, rows))
     return EXIT_OK
 
 
-def _emit_compare(out, fmt: str, rows) -> None:
+def _emit_compare(out, fmt: str, rows: list[_Row]) -> None:
     header = ["strategy", "level", "bucket_count", "ideal_mean",
               "std_dev", "deviation_ratio", "skipped"]
     formatted = [
         [label, str(level), str(histogram.bucket_count), f"{stats.ideal_mean:.6g}",
          f"{stats.std_dev:.6g}", f"{stats.deviation_ratio:.6g}", str(histogram.skipped)]
-        for level, _, label, histogram, stats in rows
+        for level, label, histogram, stats in sorted(
+            rows, key=lambda row: (row.level, row.stats.deviation_ratio))
     ]
     if fmt == "csv":
         import csv
@@ -435,7 +429,7 @@ def _fanout(args) -> FanoutReport:
     """The fan-out report of --strategy's layout; raw --moduli may pass Md5Config's 256 cap."""
     strategy, text = _flag_text(args)
     if strategy.flag == "moduli" and text:
-        moduli = strategy.parse(text)
+        moduli = strategy.parse(text, "--moduli")
     else:
         moduli = _config(strategy, text).level_moduli
     try:

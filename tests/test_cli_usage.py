@@ -1,5 +1,7 @@
 """CLI contract details: bad strategy configs are usage errors; exact output is pinned."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -123,7 +125,9 @@ def test_wrong_strategy_flag_message_is_pinned(dirty_path, tmp_path, verb, strat
 
 @pytest.mark.parametrize("spec, message", [
     ("letter:x", "letter spec expects an integer depth, got 'x'"),
-    ("md5:1,a", "--moduli expects comma-separated integers, got '1,a'"),
+    ("md5:1,a", "md5 spec expects comma-separated integers, got '1,a'"),
+    ("ascii-sum:x", "ascii-sum spec expects comma-separated integers, got 'x'"),
+    ("mapping:a,b", "mapping spec expects comma-separated integers, got 'a,b'"),
     ("md5:300", "bad md5 config: modulus 300 outside 2..256"),
     ("mapping", "mapping spec needs bucket_size,num_servers (e.g. mapping:50000,20)"),
     ("mapping:1", "mapping spec needs exactly bucket_size,num_servers"),
@@ -146,6 +150,7 @@ def test_mapping_without_ids_message_is_pinned(capsys):
      "the mapping strategy requires --bucket-size and --servers"),
     (["--strategy", "mapping", "--ids", "1..5", "--bucket-size", "2"],
      "the mapping strategy requires --bucket-size and --servers"),
+    (["--strategy", "mapping"], "the mapping strategy requires --bucket-size and --servers"),
     (["--strategy", "md5"], "the md5 strategy requires a corpus file"),
     (["--strategy", "letter", "--levels", "2"], "the letter strategy requires a corpus file"),
 ])
@@ -263,7 +268,7 @@ def test_compare_refuses_mapping_servers_over_the_dense_cap_before_it_scans(
 # scan would print them, and its reject count, before the error.
 @pytest.mark.parametrize("flags, message", [
     (["--strategy", "mapping:1,3"],
-     "usage error: mapping strategies in compare require --ids A..B\n"),
+     "usage error: the mapping strategy requires --ids A..B\n"),
     (["--strategy", "mapping:1,3", "--ids", "10..1"],
      "usage error: --ids needs 1 <= A <= B, got '10..1'\n"),
     (["--strategy", "mapping:1,2097153", "--ids", "1..10"], OVER_CAP),
@@ -344,6 +349,36 @@ def test_both_verbs_share_one_level_rule(tmp_path, capsys, analyze, spec, depth)
     assert main([*compare, "--level", str(depth)]) == EXIT_OK
     name = spec[0].partition(":")[0]
     assert capsys.readouterr().err == f"note: skipping {name} at level {depth} (depth {depth})\n"
+
+
+# Rejects, and names of one and two characters that levels 1 and 2 skip.
+AGREE = DIRTY + b"\na\nbo\n" + b"".join(b"user%d\n" % n for n in range(300))
+AGREED = ["bucket_count", "skipped", "ideal_mean", "std_dev", "deviation_ratio"]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("analyze, spec, depth", STRATEGY_LEVELS,
+                         ids=["letter", "ascii-sum", "mapping", "md5"])
+def test_analyze_and_compare_give_one_spec_the_same_row(tmp_path, monkeypatch, capsys, threads,
+                                                        analyze, spec, depth):
+    monkeypatch.setenv("SHARDBENCH_THREADS", threads)
+    corpus_path = tmp_path / "names.txt"
+    corpus_path.write_bytes(AGREE)
+    analyze = [arg.format(corpus=corpus_path) for arg in analyze]
+    for level in map(str, range(depth)):
+        assert main(["analyze", *analyze, "--level", level, "--no-counts"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        expected = [f"{report[field]:.6g}" if isinstance(report[field], float)
+                    else str(report[field]) for field in AGREED]
+        compare = ["compare", str(corpus_path), "--strategy", spec[0], "--strategy", spec[0],
+                   *spec[1:], "--level", level, "--format", "csv"]
+        assert main(compare) == EXIT_OK
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(rows) == 2
+        for cells in rows:
+            row = dict(zip(header, cells))
+            assert row["level"] == level
+            assert [row[field] for field in AGREED] == expected
 
 
 MAPPING = ["--strategy", "mapping", "--ids", "1..5000"]

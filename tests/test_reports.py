@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from functools import partial
 from pathlib import Path
 
@@ -61,11 +62,14 @@ def _joined(emit, *args) -> str:
 @pytest.mark.parametrize("fmt", ["json", "csv", "plot-data"])
 @pytest.mark.parametrize("histogram", HISTOGRAMS, ids=lambda h: f"{h.bucket_count}-buckets")
 def test_analysis_reports_match_json_dump_and_csv_writer(histogram, fmt, include_counts):
-    args = (fmt, "md5", {"moduli": [64, 64]}, 1, histogram, compute_stats(histogram),
-            include_counts)
+    stats = compute_stats(histogram)
     expected = io.StringIO()
-    _reference_analysis(expected, *args)
-    assert _joined(cli._emit_analysis, *args) == expected.getvalue()
+    _reference_analysis(expected, fmt, "md5", {"moduli": [64, 64]}, 1, histogram, stats,
+                        include_counts)
+    args = Namespace(format=fmt, no_counts=not include_counts)
+    row = cli._Row(1, "md5", histogram, stats)
+    assert _joined(cli._emit_analysis, args, "md5", {"moduli": [64, 64]}, row) == \
+        expected.getvalue()
 
 
 def _compare_rows():
@@ -73,8 +77,7 @@ def _compare_rows():
     for level, (label, histogram) in enumerate([("md5", HISTOGRAMS[2]),
                                                 ("mapping[10000,20]", HISTOGRAMS[1]),
                                                 ("letter", HISTOGRAMS[0])]):
-        stats = compute_stats(histogram)
-        rows.append((level, stats.deviation_ratio, label, histogram, stats))
+        rows.append(cli._Row(level, label, histogram, compute_stats(histogram)))
     return rows
 
 
@@ -84,7 +87,7 @@ def _reference_compare_cells(rows):
     return [header] + [
         [label, str(level), str(h.bucket_count), f"{s.ideal_mean:.6g}", f"{s.std_dev:.6g}",
          f"{s.deviation_ratio:.6g}", str(h.skipped)]
-        for level, _, label, h, s in rows
+        for level, label, h, s in rows
     ]
 
 

@@ -4,7 +4,8 @@ from one table each, and one module picks the MD5.
 No function in any module branches on a strategy's or a model's name; each
 takes what it needs from the table, or from the config and its index rule.
 No module but `cli.py`, which holds the strategy table, keys a dict by
-strategy names.
+strategy names, and no function tells mapping apart by a row's missing flag:
+its row says it is keyed by counter ID.
 Only `strategies.py` imports an MD5 module; the rest take its `_md5`.
 """
 
@@ -111,3 +112,38 @@ def test_only_strategies_imports_an_md5_module():
 def test_the_md5_check_sees_an_import():
     source = "import os, hashlib\nfrom _md5 import md5\nfrom .strategies import _md5\n"
     assert _md5_imports(source) == [1, 2]
+
+
+def _flag_tests(source: str) -> list[str]:
+    """`function:line` of each test of a `.flag` against None or for truth."""
+    sites = []
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if not any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                    continue
+            elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                operands = [node.test]
+            elif isinstance(node, ast.BoolOp):
+                operands = node.values
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                operands = [node.operand]
+            else:
+                continue
+            if any(isinstance(o, ast.Attribute) and o.attr == "flag" for o in operands):
+                sites.append(f"{function.name}:{node.lineno}")
+    return sorted(set(sites))
+
+
+def test_no_function_tells_mapping_apart_by_its_flag():
+    assert _flag_tests((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_flag_check_sees_a_test():
+    source = ("def f(s):\n    keyed = s.flag is None\n"
+              "    return s.name + ('' if s.flag else '[x]')\n"
+              "def g(s, flag):\n    return s.flag == 'moduli' or flag != s.flag\n")
+    assert _flag_tests(source) == ["f:2", "f:3"]
